@@ -21,7 +21,6 @@ from .benchmark import (
     step_function,
     summarize,
     user_function,
-    write_results_csv,
     write_summary_csv,
 )
 from .config import (
@@ -81,7 +80,6 @@ from .kernels import (
     gram_matrix,
 )
 from .mle import (
-    MLProblem,
     MLResult,
     default_bounds,
     log_likelihood,
@@ -95,7 +93,7 @@ __all__ = [
     "DataError", "Design", "DesignSpec", "DimensionError", "ErfLS",
     "ErfWarp", "ExperimentResult", "Exponential", "FittedGP", "GibbsKernel",
     "HyperParam", "Kernel", "LengthScaleFn", "LogisticLS", "LogisticWarp",
-    "MLProblem", "MLResult", "Matern32", "Matern52", "MethodSpec",
+    "MLResult", "Matern32", "Matern52", "MethodSpec",
     "MethodSummary", "NeuralNet", "NeuralNetShifted", "NumericsError",
     "OptimizationError", "ParameterError", "PeriodicPairWarp",
     "QuadraticLS", "SquaredExponential", "StepGPError", "TanhLS",
@@ -107,6 +105,5 @@ __all__ = [
     "maximize_likelihood", "nonstationary_function", "random_lhs",
     "read_points_csv", "rmse", "run_experiment", "save_kernel",
     "save_model", "step_function", "summarize", "uniform_test_set",
-    "user_function", "write_design_csv", "write_results_csv",
-    "write_summary_csv",
+    "user_function", "write_design_csv", "write_summary_csv",
 ]

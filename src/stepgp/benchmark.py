@@ -352,15 +352,6 @@ def _meta_lines(meta: dict | None) -> list[str]:
     return [f"# {k}={v}" for k, v in (meta or {}).items()]
 
 
-def write_results_csv(results: Sequence[ExperimentResult], path,
-                      meta: dict | None = None) -> None:
-    lines = _meta_lines(meta)
-    lines.append(",".join(RESULT_COLUMNS))
-    lines.extend(result_row(r) for r in results)
-    with open(path, "w") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def write_summary_csv(summaries: Sequence[MethodSummary], path,
                       meta: dict | None = None) -> None:
     lines = _meta_lines(meta)

@@ -34,6 +34,7 @@ from .config import (
 )
 from .design import (
     DesignSpec,
+    _read_csv,
     maximin_lhs,
     read_points_csv,
     write_design_csv,
@@ -93,30 +94,12 @@ def cmd_design(args) -> int:
 
 def _read_training_csv(path) -> tuple[np.ndarray, np.ndarray]:
     """Training CSV: header ``x1,..,xd,y``, one row per observation."""
-    rows = []
-    header = None
-    with open(path) as fh:
-        for raw in fh:
-            line = raw.strip()
-            if not line or line.startswith("#"):
-                continue
-            if header is None:
-                header = [c.strip() for c in line.split(",")]
-                continue
-            try:
-                rows.append([float(c) for c in line.split(",")])
-            except ValueError as e:
-                raise DataError(f"{path}: bad row {line!r}") from e
-    if header is None or not rows:
-        raise DataError(f"{path}: no data rows")
+    header, data = _read_csv(path)
     d = len(header) - 1
     if d < 1 or header[-1] != "y" or \
             header[:-1] != [f"x{j + 1}" for j in range(d)]:
         raise DataError(
             f"{path}: expected header x1,..,xd,y, got {','.join(header)}")
-    data = np.array(rows, dtype=float)
-    if data.shape[1] != d + 1:
-        raise DataError(f"{path}: row width does not match header")
     return data[:, :d], data[:, d]
 
 

@@ -18,36 +18,9 @@ from .benchmark import nonstationary_function
 from .domain import Box
 from .errors import ConfigError
 from .gp import FittedGP, TrainingSet, fit
-from .kernels import (
-    GibbsKernel,
-    HyperParam,
-    Kernel,
-    LS_KINDS,
-    NeuralNet,
-    NeuralNetShifted,
-    WARP_KINDS,
-    WarpedKernel,
-)
-from .kernels.base import (
-    OuterFnKernel,
-    ProductKernel,
-    ScaledKernel,
-    ShiftedKernel,
-    SumKernel,
-)
-from .kernels.gibbs import ConstantLS, LengthScaleFn, _AxisLS
-from .kernels.stationary import (
-    Exponential,
-    Matern32,
-    Matern52,
-    SquaredExponential,
-    _TensorStationary,
-)
-from .kernels.warping import PeriodicPairWarp, WarpMap, _SigmoidWarp
+from .kernels import Kernel
+from .kernels.params import HyperParam, Node
 from .mle import MLResult
-
-_STATIONARY = {c.kind: c for c in
-               (Exponential, Matern32, Matern52, SquaredExponential)}
 
 
 def _param_to_dict(p: HyperParam) -> dict:
@@ -61,137 +34,75 @@ def _param_from_dict(d: dict) -> HyperParam:
                           float(d["lower"]), float(d["upper"]),
                           str(d.get("scale", "linear")),
                           float(d.get("shift", 0.0)))
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, ValueError) as e:
         raise ConfigError(f"bad parameter entry {d!r}") from e
 
 
-def _lsfn_to_dict(f: LengthScaleFn) -> dict:
-    out = {"kind": f.kind, "params": [_param_to_dict(p) for p in f.params]}
-    if isinstance(f, _AxisLS):
-        out["axis"] = f.axis
+def _node_to_dict(node: Node, family: type) -> dict:
+    if family.kinds.get(node.kind) is not type(node):
+        raise ConfigError(
+            f"a {type(node).__name__} cannot be written to a file "
+            f"(kernels wrapping a user function never can)")
+    out = {"kind": node.kind}
+    if family is Kernel:
+        out["dim"] = node.dim
+    out.update((f, getattr(node, f)) for f in node.fields)
+    out["params"] = [_param_to_dict(p) for p in node.own_params]
+    children = [_node_to_dict(c, fam)
+                for c, (_, _, fam) in zip(node.children, node.slots)]
+    if node.listed_children:
+        out["children"] = children
+    else:
+        out.update((attr, c) for (attr, _, _), c in zip(node.slots, children))
     return out
 
 
-def _lsfn_from_dict(d: dict) -> LengthScaleFn:
-    kind = d.get("kind")
-    if kind not in LS_KINDS:
-        raise ConfigError(f"unknown lengthscale kind {kind!r}")
-    params = {p["name"]: _param_from_dict(p) for p in d.get("params", [])}
-    if kind == "Constant":
-        if "c2" not in params:
-            raise ConfigError("Constant lengthscale needs c2")
-        return ConstantLS(c2=params["c2"])
-    if "c1" not in params or "c2" not in params:
-        raise ConfigError(f"{kind} lengthscale needs c1 and c2")
-    return LS_KINDS[kind](c1=params["c1"], c2=params["c2"],
-                          axis=int(d.get("axis", 0)))
-
-
-def _warp_to_dict(w: WarpMap) -> dict:
-    out = {"kind": w.kind, "params": [_param_to_dict(p) for p in w.params]}
-    if isinstance(w, _SigmoidWarp):
-        out["axis"] = w.axis
-    if isinstance(w, PeriodicPairWarp):
-        out["period"] = float(w.period)
-    return out
-
-
-def _warp_from_dict(d: dict) -> WarpMap:
-    kind = d.get("kind")
-    if kind not in WARP_KINDS:
-        raise ConfigError(f"unknown warp kind {kind!r}")
-    if kind == "PeriodicPair":
-        if "period" not in d:
-            raise ConfigError("PeriodicPair warp needs period")
-        return PeriodicPairWarp(period=float(d["period"]))
-    params = {p["name"]: _param_from_dict(p) for p in d.get("params", [])}
-    if "c1" not in params:
-        raise ConfigError(f"{kind} warp needs c1")
-    return WARP_KINDS[kind](c1=params["c1"], axis=int(d.get("axis", 0)))
+def _node_from_dict(d, family: type) -> Node:
+    if not isinstance(d, dict) or "kind" not in d:
+        raise ConfigError(f"{family.__name__} entry must be a mapping with "
+                          f"kind: {d!r}")
+    kind = d["kind"]
+    cls = family.kinds.get(kind) if isinstance(kind, str) else None
+    if cls is None:
+        raise ConfigError(f"unknown {family.__name__} kind {kind!r}")
+    if cls.listed_children:
+        entries = d.get("children")
+        if not isinstance(entries, list) or len(entries) != len(cls.slots):
+            raise ConfigError(
+                f"{kind} needs exactly {len(cls.slots)} children")
+    else:
+        missing = [attr for attr, _, _ in cls.slots if attr not in d]
+        if missing:
+            raise ConfigError(f"{kind} needs {' and '.join(missing)}")
+        entries = [d[attr] for attr, _, _ in cls.slots]
+    children = {attr: _node_from_dict(e, fam)
+                for (attr, _, fam), e in zip(cls.slots, entries)}
+    try:
+        node = cls(**{f: d[f] for f in cls.fields if f in d}, **children)
+        if family is Kernel and int(d.get("dim", node.dim)) != node.dim:
+            raise ConfigError(f"{kind} has dimension {node.dim}, "
+                              f"not {d['dim']}")
+    except (TypeError, ValueError) as e:
+        raise ConfigError(f"bad {kind} entry: {e}") from e
+    # the constructor ran the structural checks on default values; the
+    # stored parameters replace those by name, each validated by HyperParam
+    stored = [_param_from_dict(e) for e in d.get("params") or []]
+    by_name = {p.name: p for p in stored}
+    want = [p.name for p in node.own_params]
+    if len(by_name) != len(stored) or sorted(by_name) != sorted(want):
+        raise ConfigError(f"{kind} needs parameters {want}, got "
+                          f"{[p.name for p in stored]}")
+    return node.replaced([by_name[name] for name in want])
 
 
 def kernel_to_dict(k: Kernel) -> dict:
     """Nested dict form of a kernel; raises ConfigError for kernels that
     wrap arbitrary Python functions (they cannot be written to a file)."""
-    if isinstance(k, OuterFnKernel):
-        raise ConfigError(
-            "a kernel wrapping a user function cannot be serialized")
-    if isinstance(k, _TensorStationary):
-        return {"kind": k.kind, "dim": k.dim,
-                "params": [_param_to_dict(p) for p in k.params]}
-    if isinstance(k, NeuralNet):  # covers NeuralNetShifted
-        return {"kind": k.kind, "dim": k.dim,
-                "params": [_param_to_dict(p) for p in k.params]}
-    if isinstance(k, GibbsKernel):
-        return {"kind": k.kind, "dim": k.dim,
-                "params": [_param_to_dict(k.params[0])],
-                "lsfn": _lsfn_to_dict(k.lsfn)}
-    if isinstance(k, WarpedKernel):
-        return {"kind": k.kind, "dim": k.dim,
-                "warp": _warp_to_dict(k.warp),
-                "child": kernel_to_dict(k.child)}
-    if isinstance(k, (SumKernel, ProductKernel)):
-        return {"kind": k.kind, "dim": k.dim,
-                "children": [kernel_to_dict(k.k1), kernel_to_dict(k.k2)]}
-    if isinstance(k, ScaledKernel):
-        return {"kind": k.kind, "c": float(k.c),
-                "child": kernel_to_dict(k.child)}
-    if isinstance(k, ShiftedKernel):
-        return {"kind": k.kind, "c": float(k.c),
-                "child": kernel_to_dict(k.child)}
-    raise ConfigError(f"cannot serialize kernel of type {type(k).__name__}")
+    return _node_to_dict(k, Kernel)
 
 
 def kernel_from_dict(d: dict) -> Kernel:
-    if not isinstance(d, dict) or "kind" not in d:
-        raise ConfigError(f"kernel entry must be a mapping with kind: {d!r}")
-    kind = d["kind"]
-    if kind in _STATIONARY:
-        dim = int(d["dim"])
-        params = [_param_from_dict(p) for p in d.get("params", [])]
-        if len(params) != dim + 1:
-            raise ConfigError(
-                f"{kind} in dimension {dim} needs {dim + 1} parameters")
-        return _STATIONARY[kind](dim, sigma2=params[0],
-                                 lengthscales=params[1:])
-    if kind in ("NeuralNet", "NeuralNetShifted"):
-        dim = int(d["dim"])
-        params = [_param_from_dict(p) for p in d.get("params", [])]
-        want = dim + 2 + (dim if kind == "NeuralNetShifted" else 0)
-        if len(params) != want:
-            raise ConfigError(
-                f"{kind} in dimension {dim} needs {want} parameters")
-        if kind == "NeuralNet":
-            return NeuralNet(dim, sigma2=params[0], sigmas=params[1:])
-        return NeuralNetShifted(dim, sigma2=params[0],
-                                sigmas=params[1:dim + 2],
-                                tau=params[dim + 2:])
-    if kind == "Gibbs":
-        dim = int(d["dim"])
-        params = [_param_from_dict(p) for p in d.get("params", [])]
-        if len(params) != 1:
-            raise ConfigError("Gibbs needs exactly the variance parameter")
-        if "lsfn" not in d:
-            raise ConfigError("Gibbs needs lsfn")
-        return GibbsKernel(dim, _lsfn_from_dict(d["lsfn"]), sigma2=params[0])
-    if kind == "Warped":
-        if "warp" not in d or "child" not in d:
-            raise ConfigError("Warped needs warp and child")
-        warp = _warp_from_dict(d["warp"])
-        child = kernel_from_dict(d["child"])
-        return WarpedKernel(warp, child,
-                            dim=int(d["dim"]) if "dim" in d else None)
-    if kind in ("Sum", "Product"):
-        children = d.get("children", [])
-        if len(children) != 2:
-            raise ConfigError(f"{kind} needs exactly two children")
-        k1, k2 = (kernel_from_dict(c) for c in children)
-        return SumKernel(k1, k2) if kind == "Sum" else ProductKernel(k1, k2)
-    if kind == "Scaled":
-        return ScaledKernel(float(d["c"]), kernel_from_dict(d["child"]))
-    if kind == "ShiftedConst":
-        return ShiftedKernel(kernel_from_dict(d["child"]), float(d["c"]))
-    raise ConfigError(f"unknown kernel kind {kind!r}")
+    return _node_from_dict(d, Kernel)
 
 
 def _box_to_dict(box: Box) -> dict:

@@ -140,9 +140,9 @@ def write_design_csv(design: Design, path, meta: dict | None = None) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
-def read_points_csv(path) -> np.ndarray:
-    """Read a points CSV written by :func:`write_design_csv` (comment lines
-    ignored).  Returns the (n, d) array."""
+def _read_csv(path) -> tuple[list[str], np.ndarray]:
+    """Header and (n, width) rows of a numeric CSV; blank and ``#``
+    comment lines are skipped."""
     rows = []
     header = None
     with open(path) as fh:
@@ -159,7 +159,12 @@ def read_points_csv(path) -> np.ndarray:
                 raise DataError(f"{path}: bad row {line!r}") from e
     if header is None or not rows:
         raise DataError(f"{path}: no data rows")
-    X = np.array(rows, dtype=float)
-    if X.shape[1] != len(header):
+    if any(len(row) != len(header) for row in rows):
         raise DataError(f"{path}: row width does not match header")
-    return X
+    return header, np.array(rows, dtype=float)
+
+
+def read_points_csv(path) -> np.ndarray:
+    """Read a points CSV written by :func:`write_design_csv` (comment lines
+    ignored).  Returns the (n, d) array."""
+    return _read_csv(path)[1]

@@ -20,6 +20,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 from scipy.linalg import cho_solve, cholesky
+from scipy.spatial.distance import pdist
 
 from .domain import Box
 from .errors import DataError, DimensionError, NumericsError
@@ -69,11 +70,12 @@ class TrainingSet:
         if n > 1:
             span = X.max(axis=0) - X.min(axis=0)
             tol = 1e-12 * float(np.linalg.norm(span))
-            diff = X[:, None, :] - X[None, :, :]
-            dist = np.sqrt(np.sum(diff * diff, axis=-1))
-            iu = np.triu_indices(n, k=1)
-            if np.any(dist[iu] <= tol):
-                i, j = iu[0][dist[iu] <= tol][0], iu[1][dist[iu] <= tol][0]
+            # pdist lists pairs in triu_indices(n, 1) order, so the first
+            # close entry names the first offending pair (i, j)
+            close = np.flatnonzero(pdist(X) <= tol)
+            if close.size:
+                iu = np.triu_indices(n, k=1)
+                i, j = iu[0][close[0]], iu[1][close[0]]
                 raise DataError(
                     f"training rows {i} and {j} coincide (within {tol:.3g})")
         object.__setattr__(self, "X", X)

@@ -1,5 +1,9 @@
 """Covariance kernels: stationary families, step-capable constructions
-(neural-network, Gibbs, input warping) and the composition algebra."""
+(neural-network, Gibbs, input warping) and the composition algebra.
+
+Kernels, warp maps and lengthscale functions are nodes of one tree
+(:class:`~.params.Node`); each family's file kinds are in its ``kinds``
+table: ``Kernel.kinds``, ``WarpMap.kinds`` and ``LengthScaleFn.kinds``."""
 
 from .base import (
     Kernel,
@@ -12,7 +16,6 @@ from .base import (
     gram_matrix,
 )
 from .gibbs import (
-    LS_KINDS,
     ArctanLS,
     ConstantLS,
     ErfLS,
@@ -26,7 +29,6 @@ from .neural import NeuralNet, NeuralNetShifted
 from .params import HyperParam, offset_above, positive
 from .stationary import Exponential, Matern32, Matern52, SquaredExponential
 from .warping import (
-    WARP_KINDS,
     ArctanWarp,
     ErfWarp,
     LogisticWarp,
@@ -46,7 +48,6 @@ __all__ = [
     "GibbsKernel",
     "HyperParam",
     "Kernel",
-    "LS_KINDS",
     "LengthScaleFn",
     "LogisticLS",
     "LogisticWarp",
@@ -64,7 +65,6 @@ __all__ = [
     "SumKernel",
     "TanhLS",
     "TanhWarp",
-    "WARP_KINDS",
     "WarpMap",
     "WarpedKernel",
     "compose",

@@ -3,23 +3,26 @@
 Every kernel is immutable after construction: evaluation is pure, so a
 single kernel object can be shared freely across threads.  Parameter
 updates go through :meth:`Kernel.with_values`, which returns a new object.
+Parameters, updates, search bounds and files all walk the kernel tree
+through the :class:`~.params.Node` protocol.
 """
 
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Callable, Sequence
+from typing import Callable
 
 import numpy as np
 
 from ..errors import DimensionError, ParameterError
-from .params import HyperParam
+from .params import Node
 
 
-class Kernel(ABC):
+class Kernel(Node, ABC):
     """A symmetric positive-semidefinite covariance function on R^d."""
 
-    kind: str = "?"
+    kinds = {}
+    fields = ("dim",)
 
     def __init__(self, dim: int):
         dim = int(dim)
@@ -30,15 +33,6 @@ class Kernel(ABC):
     @property
     def dim(self) -> int:
         return self._dim
-
-    @property
-    @abstractmethod
-    def params(self) -> tuple[HyperParam, ...]:
-        """Flattened hyperparameters with names unique across the kernel."""
-
-    @abstractmethod
-    def with_values(self, values: Sequence[float]) -> "Kernel":
-        """New kernel with parameter values replaced, in ``params`` order."""
 
     @abstractmethod
     def _cross(self, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
@@ -82,13 +76,6 @@ class Kernel(ABC):
 
     # -- bookkeeping --------------------------------------------------------
 
-    @property
-    def n_params(self) -> int:
-        return len(self.params)
-
-    def param_values(self) -> np.ndarray:
-        return np.array([p.value for p in self.params])
-
     def _assert_unique_names(self):
         names = [p.name for p in self.params]
         if len(set(names)) != len(names):
@@ -113,12 +100,12 @@ class Kernel(ABC):
         return ScaledKernel(float(other), self)
 
 
-def _rename(p: HyperParam, prefix: str) -> HyperParam:
-    return HyperParam(prefix + p.name, p.value, p.lower, p.upper, p.scale, p.shift)
-
-
 class _Binary(Kernel):
     """Shared plumbing for two-child compositions."""
+
+    fields = ()
+    slots = (("k1", "k1.", Kernel), ("k2", "k2.", Kernel))
+    listed_children = True
 
     def __init__(self, k1: Kernel, k2: Kernel):
         if k1.dim != k2.dim:
@@ -130,20 +117,8 @@ class _Binary(Kernel):
         self.k2 = k2
         self._assert_unique_names()
 
-    @property
-    def params(self):
-        return tuple(
-            [_rename(p, "k1.") for p in self.k1.params]
-            + [_rename(p, "k2.") for p in self.k2.params]
-        )
 
-    def with_values(self, values):
-        values = list(values)
-        n1 = self.k1.n_params
-        return type(self)(self.k1.with_values(values[:n1]),
-                          self.k2.with_values(values[n1:]))
-
-
+@Kernel.register
 class SumKernel(_Binary):
     """k1 + k2."""
 
@@ -153,6 +128,7 @@ class SumKernel(_Binary):
         return self.k1._cross(X1, X2) + self.k2._cross(X1, X2)
 
 
+@Kernel.register
 class ProductKernel(_Binary):
     """k1 * k2."""
 
@@ -163,18 +139,15 @@ class ProductKernel(_Binary):
 
 
 class _Unary(Kernel):
+    fields = ("c",)
+    slots = (("child", "", Kernel),)
+
     def __init__(self, child: Kernel):
         super().__init__(child.dim)
         self.child = child
 
-    @property
-    def params(self):
-        return self.child.params
 
-    def _cross(self, X1, X2):
-        raise NotImplementedError
-
-
+@Kernel.register
 class ScaledKernel(_Unary):
     """c * k for a fixed constant c > 0."""
 
@@ -186,13 +159,11 @@ class ScaledKernel(_Unary):
         super().__init__(child)
         self.c = float(c)
 
-    def with_values(self, values):
-        return ScaledKernel(self.c, self.child.with_values(values))
-
     def _cross(self, X1, X2):
         return self.c * self.child._cross(X1, X2)
 
 
+@Kernel.register
 class ShiftedKernel(_Unary):
     """k + c for a fixed constant c > 0."""
 
@@ -203,9 +174,6 @@ class ShiftedKernel(_Unary):
             raise ParameterError(f"shift constant must be > 0, got {c}")
         super().__init__(child)
         self.c = float(c)
-
-    def with_values(self, values):
-        return ShiftedKernel(self.child.with_values(values), self.c)
 
     def _cross(self, X1, X2):
         return self.child._cross(X1, X2) + self.c
@@ -218,15 +186,13 @@ class OuterFnKernel(_Unary):
     """
 
     kind = "OuterFn"
+    fields = ()
 
     def __init__(self, child: Kernel, g: Callable[[np.ndarray], float]):
         super().__init__(child)
         if not callable(g):
             raise ParameterError("OuterFn requires a callable g")
         self.g = g
-
-    def with_values(self, values):
-        return OuterFnKernel(self.child.with_values(values), self.g)
 
     def _g_vals(self, X):
         return np.array([float(self.g(x)) for x in X])

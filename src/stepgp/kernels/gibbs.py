@@ -12,64 +12,44 @@ With constant l the kernel reduces exactly to the squared-exponential.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
 
 import numpy as np
 from scipy import special
 
 from ..errors import DimensionError, ParameterError
 from .base import Kernel
-from .params import HyperParam, offset_above, positive
+from .params import HyperParam, Node, offset_above, positive, search_box
+from .params import variance_box
 
 
-def _own(name, v, default_ctor):
-    if isinstance(v, HyperParam):
-        return HyperParam(name, v.value, v.lower, v.upper, v.scale, v.shift)
-    return default_ctor(name, float(v))
-
-
-class LengthScaleFn(ABC):
+class LengthScaleFn(Node, ABC):
     """Positive scalar field l(x) used by :class:`GibbsKernel`."""
 
-    kind: str = "?"
+    kinds = {}
     #: lower limit every l value must exceed (sigmoid offset constraint)
     c2_limit: float = 0.0
-
-    @property
-    @abstractmethod
-    def params(self) -> tuple[HyperParam, ...]:
-        ...
-
-    @abstractmethod
-    def with_values(self, values: Sequence[float]) -> "LengthScaleFn":
-        ...
 
     @abstractmethod
     def values(self, X: np.ndarray) -> np.ndarray:
         """l at each row of X, shape (n,)."""
 
-    @property
-    def n_params(self) -> int:
-        return len(self.params)
+    def default_bounds(self, box, yvar):
+        """Steepness c1 in [0.01, 1000], offset c2 up to 100 above its
+        limit."""
+        *c1, c2 = self._params
+        lim = self.c2_limit
+        return (*(search_box(p, 1e-2, 1e3) for p in c1),
+                search_box(c2, lim + 1e-2, lim + 100.0, shift=lim))
 
 
+@LengthScaleFn.register
 class ConstantLS(LengthScaleFn):
     """l(x) = c2 with c2 > 0."""
 
     kind = "Constant"
 
     def __init__(self, c2=1.0):
-        self._params = (_own("c2", c2, positive),)
-
-    @property
-    def params(self):
-        return self._params
-
-    def with_values(self, values):
-        (v,) = values
-        out = object.__new__(ConstantLS)
-        out._params = (self._params[0].with_value(v),)
-        return out
+        self._params = (positive("c2", float(c2)),)
 
     def values(self, X):
         return np.full(X.shape[0], self._params[0].value)
@@ -78,24 +58,20 @@ class ConstantLS(LengthScaleFn):
 class _AxisLS(LengthScaleFn):
     """Lengthscale functions of a single coordinate x[axis]."""
 
+    fields = ("axis",)
+
     def __init__(self, c1=1.0, c2=None, axis=0):
         self.axis = int(axis)
         if self.axis < 0:
             raise DimensionError("axis must be >= 0")
         if c2 is None:
             c2 = self.c2_limit + 1.0
-        self._params = (
-            _own("c1", c1, self._default_c1),
-            _own("c2", c2, lambda n, v: offset_above(n, v, self.c2_limit)),
-        )
+        self._params = (self._default_c1("c1", float(c1)),
+                        offset_above("c2", float(c2), self.c2_limit))
 
     @staticmethod
     def _default_c1(name, v):
         return HyperParam(name, v, -1e6, 1e6)
-
-    @property
-    def params(self):
-        return self._params
 
     @property
     def c1(self) -> float:
@@ -105,14 +81,6 @@ class _AxisLS(LengthScaleFn):
     def c2(self) -> float:
         return self._params[1].value
 
-    def with_values(self, values):
-        v1, v2 = values
-        out = object.__new__(type(self))
-        out.axis = self.axis
-        out._params = (self._params[0].with_value(v1),
-                       self._params[1].with_value(v2))
-        return out
-
     def _coord(self, X):
         if X.shape[1] <= self.axis:
             raise DimensionError(
@@ -121,6 +89,7 @@ class _AxisLS(LengthScaleFn):
         return X[:, self.axis]
 
 
+@LengthScaleFn.register
 class QuadraticLS(_AxisLS):
     """l(x) = c1 * x[axis]^2 + c2 with c1 >= 0, c2 > 0.
 
@@ -141,6 +110,7 @@ class QuadraticLS(_AxisLS):
         return self.c1 * t * t + self.c2
 
 
+@LengthScaleFn.register
 class ErfLS(_AxisLS):
     """l(x) = erf(c1 * x[axis]) + c2 with c2 > 1."""
 
@@ -151,6 +121,7 @@ class ErfLS(_AxisLS):
         return special.erf(self.c1 * self._coord(X)) + self.c2
 
 
+@LengthScaleFn.register
 class LogisticLS(_AxisLS):
     """l(x) = 1 / (1 + exp(c1 * x[axis])) + c2 with c2 > 0."""
 
@@ -161,6 +132,7 @@ class LogisticLS(_AxisLS):
         return special.expit(-self.c1 * self._coord(X)) + self.c2
 
 
+@LengthScaleFn.register
 class TanhLS(_AxisLS):
     """l(x) = tanh(c1 * x[axis]) + c2 with c2 > 1."""
 
@@ -171,6 +143,7 @@ class TanhLS(_AxisLS):
         return np.tanh(self.c1 * self._coord(X)) + self.c2
 
 
+@LengthScaleFn.register
 class ArctanLS(_AxisLS):
     """l(x) = arctan(c1 * x[axis]) + c2 with c2 > pi/2."""
 
@@ -181,40 +154,27 @@ class ArctanLS(_AxisLS):
         return np.arctan(self.c1 * self._coord(X)) + self.c2
 
 
-LS_KINDS = {
-    c.kind: c
-    for c in (ConstantLS, QuadraticLS, ErfLS, LogisticLS, TanhLS, ArctanLS)
-}
-
-
+@Kernel.register
 class GibbsKernel(Kernel):
     """Nonstationary squared-exponential with lengthscale field ``lsfn``."""
 
     kind = "Gibbs"
+    slots = (("lsfn", "", LengthScaleFn),)
 
     def __init__(self, dim: int, lsfn: LengthScaleFn, sigma2=1.0):
         super().__init__(dim)
         if not isinstance(lsfn, LengthScaleFn):
             raise ParameterError("lsfn must be a LengthScaleFn")
         self.lsfn = lsfn
-        self._sigma2 = _own("variance", sigma2, positive)
+        self._params = (positive("variance", float(sigma2)),)
         self._assert_unique_names()
 
     @property
-    def params(self):
-        return (self._sigma2,) + tuple(self.lsfn.params)
-
-    @property
     def sigma2(self) -> float:
-        return self._sigma2.value
+        return self._params[0].value
 
-    def with_values(self, values: Sequence[float]):
-        values = list(values)
-        if len(values) != 1 + self.lsfn.n_params:
-            raise ParameterError(
-                f"expected {1 + self.lsfn.n_params} values, got {len(values)}")
-        return GibbsKernel(self.dim, self.lsfn.with_values(values[1:]),
-                           self._sigma2.with_value(values[0]))
+    def default_bounds(self, box, yvar):
+        return (variance_box(self._params[0], yvar),)
 
     def _ls(self, X):
         l = np.asarray(self.lsfn.values(X), dtype=float)

@@ -17,37 +17,26 @@ smooth over.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
-from ..errors import DimensionError, ParameterError
+from ..errors import DimensionError
 from .base import Kernel
-from .params import HyperParam, positive
+from .params import HyperParam, positive, search_box, variance_box
 
 # keep the arcsin argument strictly inside (-1, 1)
 _ARCSIN_EPS = 1e-15
 
 
 def _as_list(v, n, what):
-    if isinstance(v, (int, float, HyperParam)):
+    if isinstance(v, (int, float)):
         v = [v] * n
-    v = list(v)
+    v = [float(x) for x in v]
     if len(v) != n:
         raise DimensionError(f"expected {n} {what}, got {len(v)}")
     return v
 
 
-def _mk(name, v, default_ctor):
-    if isinstance(v, HyperParam):
-        return HyperParam(name, v.value, v.lower, v.upper, v.scale, v.shift)
-    return default_ctor(name, float(v))
-
-
-def _free(name, v):
-    return HyperParam(name, v, -1e6, 1e6)
-
-
+@Kernel.register
 class NeuralNet(Kernel):
     """Arcsine kernel of a wide probit network centred at the origin.
 
@@ -62,14 +51,9 @@ class NeuralNet(Kernel):
         super().__init__(dim)
         sig = _as_list(sigmas, self.dim + 1, "weight scales")
         self._params = tuple(
-            [_mk("variance", sigma2, positive)]
-            + [_mk(f"sigma{j}", s, positive) for j, s in enumerate(sig)]
+            [positive("variance", float(sigma2))]
+            + [positive(f"sigma{j}", s) for j, s in enumerate(sig)]
         )
-        self._assert_unique_names()
-
-    @property
-    def params(self):
-        return self._params
 
     @property
     def sigma2(self) -> float:
@@ -80,16 +64,11 @@ class NeuralNet(Kernel):
         """Weight scales (sigma_0, .., sigma_d)."""
         return np.array([p.value for p in self._params[1:self.dim + 2]])
 
-    def with_values(self, values: Sequence[float]):
-        values = list(values)
-        if len(values) != len(self._params):
-            raise ParameterError(
-                f"expected {len(self._params)} values, got {len(values)}")
-        k = object.__new__(type(self))
-        Kernel.__init__(k, self.dim)
-        k._params = tuple(p.with_value(v)
-                          for p, v in zip(self._params, values))
-        return k
+    def default_bounds(self, box, yvar):
+        """Weight scales in [0.01, 1000]."""
+        s2, *sig = self._params[:self.dim + 2]
+        return (variance_box(s2, yvar),
+                *(search_box(p, 1e-2, 1e3) for p in sig))
 
     def _center(self, X: np.ndarray) -> np.ndarray:
         return X
@@ -110,6 +89,7 @@ class NeuralNet(Kernel):
         return (2.0 * self.sigma2 / np.pi) * np.arcsin(arg)
 
 
+@Kernel.register
 class NeuralNetShifted(NeuralNet):
     """Neural-network kernel with the bias reference moved to ``tau``.
 
@@ -122,13 +102,20 @@ class NeuralNetShifted(NeuralNet):
         super().__init__(dim, sigma2, sigmas)
         taus = _as_list(tau, self.dim, "shift coordinates")
         self._params = self._params + tuple(
-            _mk(f"tau{j}", t, _free) for j, t in enumerate(taus, start=1)
+            HyperParam(f"tau{j}", t, -1e6, 1e6)
+            for j, t in enumerate(taus, start=1)
         )
-        self._assert_unique_names()
 
     @property
     def tau(self) -> np.ndarray:
         return np.array([p.value for p in self._params[self.dim + 2:]])
+
+    def default_bounds(self, box, yvar):
+        """Shift coordinates range over the domain box."""
+        taus = self._params[self.dim + 2:]
+        return super().default_bounds(box, yvar) + tuple(
+            search_box(p, lo, hi, scale="linear")
+            for p, lo, hi in zip(taus, box.lower, box.upper))
 
     def _center(self, X):
         return X - self.tau

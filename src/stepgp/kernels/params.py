@@ -1,9 +1,10 @@
-"""Named, bounded kernel hyperparameters."""
+"""Named, bounded kernel hyperparameters and the kernel-tree node protocol."""
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import Iterator, Sequence
 
 from ..errors import ParameterError
 
@@ -46,7 +47,10 @@ class HyperParam:
             )
 
     def with_value(self, value: float) -> "HyperParam":
-        return replace(self, value=float(value))
+        # the constructor directly, not dataclasses.replace: this runs for
+        # every parameter of every likelihood evaluation
+        return HyperParam(self.name, float(value), self.lower, self.upper,
+                          self.scale, self.shift)
 
     def with_bounds(self, lower: float, upper: float) -> "HyperParam":
         value = min(max(self.value, lower), upper)
@@ -79,3 +83,130 @@ def offset_above(name: str, value: float, limit: float,
         upper = limit + 1e6
     return HyperParam(name, value, lower=limit + margin, upper=upper,
                       scale="log", shift=limit)
+
+
+def search_box(p: HyperParam, lower: float, upper: float,
+               scale: str = "log", shift: float = 0.0) -> HyperParam:
+    """``p`` as the search range [lower, upper], its value clipped into it."""
+    return HyperParam(p.name, float(min(max(p.value, lower), upper)),
+                      lower, upper, scale, shift)
+
+
+def variance_box(p: HyperParam, yvar: float) -> HyperParam:
+    """Output variance searched in [1e-6, 1e3] times the data variance."""
+    return search_box(p, 1e-6 * yvar, 1e3 * yvar)
+
+
+class Node:
+    """One node of a kernel tree: a kernel, a warp map or a lengthscale
+    function.
+
+    A node holds its own hyperparameters in ``_params`` and its children in
+    the attributes named by ``slots``.  Its flattened ``params`` are its own
+    followed by each child's, renamed with that child's prefix; every
+    generic operation below walks the tree in that one order.
+
+    Subclasses declare:
+
+    - ``kind``: the name a file uses for the class, registered with
+      :meth:`register` in its family's ``kinds`` table (one table each for
+      kernels, warp maps and lengthscale functions);
+    - ``fields``: structural constructor arguments, kept as attributes of
+      the same name (``dim``, ``axis``, ``c``, ``period``);
+    - ``slots``: ``(attribute, name prefix, family)`` per child, in
+      parameter order; the attribute is also the constructor argument;
+    - ``listed_children``: files keep the children in one ``children``
+      list instead of under their attribute names;
+    - :meth:`default_bounds` for its own parameters, and
+      :meth:`child_boxes` when a child sees another domain than its parent.
+    """
+
+    kind: str = "?"
+    kinds: dict[str, type]
+    fields: tuple[str, ...] = ()
+    slots: tuple[tuple[str, str, type], ...] = ()
+    listed_children: bool = False
+    _params: tuple[HyperParam, ...] = ()
+
+    @classmethod
+    def register(cls, sub: type) -> type:
+        """Class decorator: file kind ``sub.kind`` names ``sub``."""
+        if sub.kind in cls.kinds:
+            raise ValueError(f"kind {sub.kind!r} registered twice")
+        cls.kinds[sub.kind] = sub
+        return sub
+
+    @property
+    def own_params(self) -> tuple[HyperParam, ...]:
+        return self._params
+
+    @property
+    def children(self) -> tuple["Node", ...]:
+        return tuple(getattr(self, attr) for attr, _, _ in self.slots)
+
+    @property
+    def params(self) -> tuple[HyperParam, ...]:
+        """Flattened hyperparameters with names unique across the tree."""
+        out = list(self._params)
+        for attr, prefix, _ in self.slots:
+            for p in getattr(self, attr).params:
+                out.append(replace(p, name=prefix + p.name) if prefix else p)
+        return tuple(out)
+
+    @property
+    def n_params(self) -> int:
+        return len(self._params) + sum(c.n_params for c in self.children)
+
+    def with_values(self, values: Sequence[float]) -> "Node":
+        """Copy with parameter values replaced, in ``params`` order."""
+        values = list(values)
+        # consume the values while walking instead of counting them first:
+        # counting walks the tree a second time on the optimizer's hot path
+        rest = iter(values)
+        try:
+            out = self._take(rest)
+        except StopIteration:
+            out = None
+        if out is None or any(True for _ in rest):
+            raise ParameterError(
+                f"expected {self.n_params} values, got {len(values)}")
+        return out
+
+    def _take(self, values: Iterator[float]) -> "Node":
+        out = self._copy(tuple([p.with_value(next(values))
+                                for p in self._params]))
+        for attr, _, _ in self.slots:
+            setattr(out, attr, getattr(self, attr)._take(values))
+        return out
+
+    def replaced(self, params: Sequence[HyperParam],
+                 children: Sequence["Node"] | None = None) -> "Node":
+        """Copy with own hyperparameters (same names, same order) and,
+        if given, children replaced.  The constructor does not run again,
+        so children must have the structure of the ones they replace."""
+        params = tuple(params)
+        if [p.name for p in params] != [p.name for p in self._params]:
+            raise ParameterError(
+                f"{self.kind} needs parameters "
+                f"{[p.name for p in self._params]}, got "
+                f"{[p.name for p in params]}")
+        out = self._copy(params)
+        if children is not None:
+            for (attr, _, _), child in zip(self.slots, children, strict=True):
+                setattr(out, attr, child)
+        return out
+
+    def _copy(self, params: tuple[HyperParam, ...]) -> "Node":
+        out = object.__new__(type(self))
+        out.__dict__.update(self.__dict__)
+        out._params = params
+        return out
+
+    def default_bounds(self, box, yvar: float) -> tuple[HyperParam, ...]:
+        """Search boxes for the own parameters on domain ``box`` with data
+        variance ``yvar``; by default each parameter's declared bounds."""
+        return self._params
+
+    def child_boxes(self, box) -> tuple:
+        """The domain each child sees, in slot order."""
+        return (box,) * len(self.slots)

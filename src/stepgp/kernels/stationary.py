@@ -10,36 +10,11 @@ Hyperparameters are ``variance`` and one lengthscale ``l1 .. ld`` per axis.
 
 from __future__ import annotations
 
-from typing import Sequence
-
 import numpy as np
 
+from ..errors import DimensionError
 from .base import Kernel
-from .params import HyperParam, positive
-
-
-def _normalize(dim: int, sigma2, lengthscales) -> tuple[HyperParam, ...]:
-    """Accept floats or ready-made HyperParams and return the canonical
-    (sigma2, l1, .., ld) tuple."""
-    if isinstance(sigma2, HyperParam):
-        s2 = HyperParam("variance", sigma2.value, sigma2.lower, sigma2.upper,
-                        sigma2.scale, sigma2.shift)
-    else:
-        s2 = positive("variance", float(sigma2))
-    if isinstance(lengthscales, (int, float)):
-        lengthscales = [float(lengthscales)] * dim
-    ls = []
-    for i, l in enumerate(lengthscales, start=1):
-        if isinstance(l, HyperParam):
-            ls.append(HyperParam(f"l{i}", l.value, l.lower, l.upper,
-                                 l.scale, l.shift))
-        else:
-            ls.append(positive(f"l{i}", float(l)))
-    if len(ls) != dim:
-        from ..errors import DimensionError
-        raise DimensionError(
-            f"expected {dim} lengthscales, got {len(ls)}")
-    return (s2, *ls)
+from .params import positive, search_box, variance_box
 
 
 class _TensorStationary(Kernel):
@@ -48,12 +23,15 @@ class _TensorStationary(Kernel):
 
     def __init__(self, dim: int, sigma2=1.0, lengthscales=1.0):
         super().__init__(dim)
-        self._params = _normalize(self.dim, sigma2, lengthscales)
-        self._assert_unique_names()
-
-    @property
-    def params(self):
-        return self._params
+        s2 = positive("variance", float(sigma2))
+        if isinstance(lengthscales, (int, float)):
+            lengthscales = [lengthscales] * self.dim
+        ls = [positive(f"l{i}", float(l))
+              for i, l in enumerate(lengthscales, start=1)]
+        if len(ls) != self.dim:
+            raise DimensionError(
+                f"expected {self.dim} lengthscales, got {len(ls)}")
+        self._params = (s2, *ls)
 
     @property
     def sigma2(self) -> float:
@@ -63,17 +41,12 @@ class _TensorStationary(Kernel):
     def lengthscales(self) -> np.ndarray:
         return np.array([p.value for p in self._params[1:]])
 
-    def with_values(self, values: Sequence[float]):
-        values = list(values)
-        if len(values) != len(self._params):
-            from ..errors import ParameterError
-            raise ParameterError(
-                f"expected {len(self._params)} values, got {len(values)}")
-        k = object.__new__(type(self))
-        Kernel.__init__(k, self.dim)
-        k._params = tuple(p.with_value(v)
-                          for p, v in zip(self._params, values))
-        return k
+    def default_bounds(self, box, yvar):
+        """Lengthscales in [0.01, 10] times the axis width."""
+        widths = np.asarray(box.widths, dtype=float)
+        return (variance_box(self._params[0], yvar),
+                *(search_box(p, 1e-2 * w, 10.0 * w)
+                  for p, w in zip(self._params[1:], widths)))
 
     @staticmethod
     def _rho(T: np.ndarray) -> np.ndarray:
@@ -84,6 +57,7 @@ class _TensorStationary(Kernel):
         return self.sigma2 * np.prod(self._rho(T), axis=-1)
 
 
+@Kernel.register
 class Exponential(_TensorStationary):
     """k = sigma2 * prod_i exp(-|dx_i| / l_i)"""
 
@@ -94,6 +68,7 @@ class Exponential(_TensorStationary):
         return np.exp(-T)
 
 
+@Kernel.register
 class Matern32(_TensorStationary):
     """k = sigma2 * prod_i (1 + sqrt(3)|dx_i|/l_i) exp(-sqrt(3)|dx_i|/l_i)"""
 
@@ -105,6 +80,7 @@ class Matern32(_TensorStationary):
         return (1.0 + S) * np.exp(-S)
 
 
+@Kernel.register
 class Matern52(_TensorStationary):
     """k = sigma2 * prod_i (1 + sqrt(5)|dx_i|/l_i + 5 dx_i^2 / (3 l_i^2))
     * exp(-sqrt(5)|dx_i|/l_i)"""
@@ -117,6 +93,7 @@ class Matern52(_TensorStationary):
         return (1.0 + S + (5.0 / 3.0) * T * T) * np.exp(-S)
 
 
+@Kernel.register
 class SquaredExponential(_TensorStationary):
     """k = sigma2 * prod_i exp(-dx_i^2 / (2 l_i^2))"""
 

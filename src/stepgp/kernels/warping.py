@@ -10,30 +10,20 @@ like a step-aware kernel in the original space.  PeriodicPair wraps a
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
-from typing import Sequence
 
 import numpy as np
 from scipy import special
 
 from ..domain import Box
 from ..errors import DimensionError, ParameterError
-from .base import Kernel, _rename
-from .params import HyperParam, positive
+from .base import Kernel
+from .params import Node, positive, search_box
 
 
-class WarpMap(ABC):
+class WarpMap(Node, ABC):
     """Deterministic map R^in_dim -> R^out_dim applied before a kernel."""
 
-    kind: str = "?"
-
-    @property
-    @abstractmethod
-    def params(self) -> tuple[HyperParam, ...]:
-        ...
-
-    @abstractmethod
-    def with_values(self, values: Sequence[float]) -> "WarpMap":
-        ...
+    kinds = {}
 
     @abstractmethod
     def transform(self, X: np.ndarray) -> np.ndarray:
@@ -47,14 +37,11 @@ class WarpMap(ABC):
         """Bounding box of the warped image; used to scale lengthscale
         bounds for the kernel downstream of the warp."""
 
-    @property
-    def n_params(self) -> int:
-        return len(self.params)
-
 
 class _SigmoidWarp(WarpMap):
     """Replace x[axis] by g(c1 * x[axis]), all other axes untouched."""
 
+    fields = ("axis",)
     #: (lo, hi) range of g, used for output_box
     g_range = (-1.0, 1.0)
 
@@ -62,26 +49,15 @@ class _SigmoidWarp(WarpMap):
         self.axis = int(axis)
         if self.axis < 0:
             raise DimensionError("axis must be >= 0")
-        if isinstance(c1, HyperParam):
-            self._c1 = HyperParam("c1", c1.value, c1.lower, c1.upper,
-                                  c1.scale, c1.shift)
-        else:
-            self._c1 = positive("c1", float(c1))
-
-    @property
-    def params(self):
-        return (self._c1,)
+        self._params = (positive("c1", float(c1)),)
 
     @property
     def c1(self) -> float:
-        return self._c1.value
+        return self._params[0].value
 
-    def with_values(self, values):
-        (v,) = values
-        out = object.__new__(type(self))
-        out.axis = self.axis
-        out._c1 = self._c1.with_value(v)
-        return out
+    def default_bounds(self, box, yvar):
+        """Steepness c1 in [0.01, 1000]."""
+        return (search_box(self._params[0], 1e-2, 1e3),)
 
     @staticmethod
     def _g(t: np.ndarray) -> np.ndarray:
@@ -103,6 +79,7 @@ class _SigmoidWarp(WarpMap):
         return Box(tuple(lo), tuple(hi))
 
 
+@WarpMap.register
 class ErfWarp(_SigmoidWarp):
     """g(t) = erf(t), range (-1, 1)."""
 
@@ -114,6 +91,7 @@ class ErfWarp(_SigmoidWarp):
         return special.erf(t)
 
 
+@WarpMap.register
 class LogisticWarp(_SigmoidWarp):
     """g(t) = 1 / (1 + exp(t)), range (0, 1)."""
 
@@ -125,6 +103,7 @@ class LogisticWarp(_SigmoidWarp):
         return special.expit(-t)
 
 
+@WarpMap.register
 class TanhWarp(_SigmoidWarp):
     """g(t) = tanh(t), range (-1, 1)."""
 
@@ -136,6 +115,7 @@ class TanhWarp(_SigmoidWarp):
         return np.tanh(t)
 
 
+@WarpMap.register
 class ArctanWarp(_SigmoidWarp):
     """g(t) = arctan(t), range (-pi/2, pi/2)."""
 
@@ -147,26 +127,19 @@ class ArctanWarp(_SigmoidWarp):
         return np.arctan(t)
 
 
+@WarpMap.register
 class PeriodicPairWarp(WarpMap):
     """1-D input onto the circle of circumference ``period``:
     M(x) = (cos(2 pi x / T), sin(2 pi x / T)).  No hyperparameters."""
 
     kind = "PeriodicPair"
+    fields = ("period",)
 
     def __init__(self, period: float):
         period = float(period)
         if not period > 0:
             raise ParameterError(f"period must be > 0, got {period}")
         self.period = period
-
-    @property
-    def params(self):
-        return ()
-
-    def with_values(self, values):
-        if list(values):
-            raise ParameterError("PeriodicPair has no parameters")
-        return self
 
     def out_dim(self, in_dim):
         if in_dim != 1:
@@ -183,16 +156,12 @@ class PeriodicPairWarp(WarpMap):
         return Box((-1.0, -1.0), (1.0, 1.0))
 
 
-WARP_KINDS = {
-    c.kind: c
-    for c in (ErfWarp, LogisticWarp, TanhWarp, ArctanWarp, PeriodicPairWarp)
-}
-
-
+@Kernel.register
 class WarpedKernel(Kernel):
     """k(M(x), M(x')) for a warp map M and a base kernel k."""
 
     kind = "Warped"
+    slots = (("warp", "warp.", WarpMap), ("child", "", Kernel))
 
     def __init__(self, warp: WarpMap, child: Kernel, dim: int | None = None):
         if not isinstance(warp, WarpMap):
@@ -209,17 +178,9 @@ class WarpedKernel(Kernel):
         self.child = child
         self._assert_unique_names()
 
-    @property
-    def params(self):
-        return tuple([_rename(p, "warp.") for p in self.warp.params]
-                     + list(self.child.params))
-
-    def with_values(self, values: Sequence[float]):
-        values = list(values)
-        nw = self.warp.n_params
-        return WarpedKernel(self.warp.with_values(values[:nw]),
-                            self.child.with_values(values[nw:]),
-                            dim=self.dim)
+    def child_boxes(self, box):
+        """The base kernel sees the warped image of the domain."""
+        return (box, self.warp.output_box(box))
 
     def _cross(self, X1, X2):
         return self.child._cross(self.warp.transform(X1),

@@ -20,13 +20,8 @@ from scipy.optimize import Bounds, minimize
 from .domain import Box
 from .errors import NumericsError, OptimizationError, ParameterError
 from .gp import TrainingSet, _chol_with_jitter, _mu_from_factor
-from .kernels import GibbsKernel, HyperParam, Kernel, NeuralNet, NeuralNetShifted
-from .kernels.base import ProductKernel, ScaledKernel, ShiftedKernel, SumKernel
-from .kernels.base import OuterFnKernel, _rename
-from .kernels.gibbs import LengthScaleFn
-from .kernels.params import offset_above, positive
-from .kernels.stationary import _TensorStationary
-from .kernels.warping import WarpedKernel
+from .kernels import HyperParam, Kernel
+from .kernels.params import Node, search_box
 from scipy.linalg import cho_solve
 
 log = logging.getLogger(__name__)
@@ -64,10 +59,6 @@ def _data_box(training: TrainingSet) -> Box:
     return Box(tuple(float(v) for v in lo), tuple(float(v) for v in hi))
 
 
-def _clip(v, lo, hi):
-    return float(min(max(v, lo), hi))
-
-
 def default_bounds(kernel: Kernel, box: Box, y=None) -> tuple[HyperParam, ...]:
     """Search boxes for every hyperparameter of ``kernel``.
 
@@ -75,87 +66,22 @@ def default_bounds(kernel: Kernel, box: Box, y=None) -> tuple[HyperParam, ...]:
     [1e-6, 1e3] times var(y) (1 when y is not given), network weight scales
     and sigmoid steepnesses [0.01, 1000], sigmoid offsets up to 100 above
     their hard limit, and shift coordinates the domain box itself.  Kernels
-    downstream of a warp use the warped image's widths.
+    downstream of a warp use the warped image's widths.  Each node states
+    the boxes of its own parameters (``Node.default_bounds``).
     """
     yvar = 1.0
     if y is not None:
         v = float(np.var(np.asarray(y, dtype=float)))
         if np.isfinite(v) and v > 0:
             yvar = v
-    out = _bounds_rec(kernel, box, yvar, "")
-    got = [p.name for p in out]
-    want = [p.name for p in kernel.params]
-    if got != want:
-        raise ParameterError(
-            f"bound names {got} do not match kernel params {want}")
-    return tuple(out)
+    return _with_bounds(kernel, box, yvar).params
 
 
-def _sigma2_bounds(p: HyperParam, yvar: float, prefix: str) -> HyperParam:
-    return positive(prefix + p.name, _clip(p.value, 1e-6 * yvar, 1e3 * yvar),
-                    1e-6 * yvar, 1e3 * yvar)
-
-
-def _lsfn_bounds(lsfn: LengthScaleFn, prefix: str) -> list[HyperParam]:
-    out = []
-    for p in lsfn.params:
-        if p.name == "c1":
-            out.append(positive(prefix + "c1", _clip(p.value, 1e-2, 1e3),
-                                1e-2, 1e3))
-        elif p.name == "c2":
-            lim = lsfn.c2_limit
-            out.append(offset_above(prefix + "c2",
-                                    _clip(p.value, lim + 1e-2, lim + 100.0),
-                                    lim, lim + 100.0))
-        else:
-            out.append(_rename(p, prefix))
-    return out
-
-
-def _bounds_rec(k: Kernel, box: Box, yvar: float, prefix: str) -> list[HyperParam]:
-    widths = np.asarray(box.widths, dtype=float)
-    if isinstance(k, _TensorStationary):
-        out = [_sigma2_bounds(k.params[0], yvar, prefix)]
-        for i, p in enumerate(k.params[1:]):
-            lo, hi = 1e-2 * widths[i], 10.0 * widths[i]
-            out.append(positive(prefix + p.name, _clip(p.value, lo, hi), lo, hi))
-        return out
-    if isinstance(k, NeuralNetShifted):
-        out = _nn_bounds(k, yvar, prefix)
-        for j, p in enumerate(k.params[k.dim + 2:]):
-            out.append(HyperParam(prefix + p.name,
-                                  _clip(p.value, box.lower[j], box.upper[j]),
-                                  box.lower[j], box.upper[j]))
-        return out
-    if isinstance(k, NeuralNet):
-        return _nn_bounds(k, yvar, prefix)
-    if isinstance(k, GibbsKernel):
-        return ([_sigma2_bounds(k.params[0], yvar, prefix)]
-                + _lsfn_bounds(k.lsfn, prefix))
-    if isinstance(k, WarpedKernel):
-        out = []
-        for p in k.warp.params:
-            if p.name == "c1":
-                out.append(positive(prefix + "warp.c1",
-                                    _clip(p.value, 1e-2, 1e3), 1e-2, 1e3))
-            else:
-                out.append(_rename(p, prefix + "warp."))
-        return out + _bounds_rec(k.child, k.warp.output_box(box), yvar, prefix)
-    if isinstance(k, (SumKernel, ProductKernel)):
-        return (_bounds_rec(k.k1, box, yvar, prefix + "k1.")
-                + _bounds_rec(k.k2, box, yvar, prefix + "k2."))
-    if isinstance(k, (ScaledKernel, ShiftedKernel, OuterFnKernel)):
-        return _bounds_rec(k.child, box, yvar, prefix)
-    # unknown kernel type: keep its own declared bounds
-    return [_rename(p, prefix) for p in k.params]
-
-
-def _nn_bounds(k: NeuralNet, yvar: float, prefix: str) -> list[HyperParam]:
-    out = [_sigma2_bounds(k.params[0], yvar, prefix)]
-    for p in k.params[1:k.dim + 2]:
-        out.append(positive(prefix + p.name, _clip(p.value, 1e-2, 1e3),
-                            1e-2, 1e3))
-    return out
+def _with_bounds(node: Node, box: Box, yvar: float) -> Node:
+    """``node`` with every hyperparameter replaced by its search box."""
+    children = [_with_bounds(c, b, yvar)
+                for c, b in zip(node.children, node.child_boxes(box))]
+    return node.replaced(node.default_bounds(box, yvar), children)
 
 
 @dataclass(frozen=True)
@@ -186,22 +112,6 @@ class MLResult:
         return {p.name: p.value for p in self.kernel.params}
 
 
-@dataclass(frozen=True)
-class MLProblem:
-    """A complete, restartable estimation task."""
-
-    kernel: Kernel
-    training: TrainingSet
-    bounds: tuple[HyperParam, ...] | None = None
-    n_restarts: int = 10
-    seed: int = 0
-    max_evals: int = 2000
-
-    def solve(self) -> "MLResult":
-        return maximize_likelihood(self.kernel, self.training, self.bounds,
-                                   self.n_restarts, self.seed, self.max_evals)
-
-
 def _merge_bounds(kernel: Kernel, bounds) -> list[HyperParam]:
     """Intersect requested search bounds with each parameter's own box."""
     by_name = {p.name: p for p in bounds}
@@ -218,8 +128,7 @@ def _merge_bounds(kernel: Kernel, bounds) -> list[HyperParam]:
             raise ParameterError(
                 f"{p.name}: search bounds [{b.lower}, {b.upper}] do not "
                 f"intersect parameter bounds [{p.lower}, {p.upper}]")
-        out.append(HyperParam(p.name, _clip(b.value, lo, hi), lo, hi,
-                              b.scale, b.shift))
+        out.append(search_box(b, lo, hi, b.scale, b.shift))
     return out
 
 

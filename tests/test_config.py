@@ -41,6 +41,76 @@ def test_kernel_round_trip(kind, tmp_path):
     assert np.array_equal(sg.gram_matrix(k2, X), sg.gram_matrix(k, X))
 
 
+def _pos(name, value):
+    return {"name": name, "value": value, "lower": 1e-12, "upper": 1e12,
+            "scale": "log", "shift": 0.0}
+
+
+def _free(name, value):
+    return {"name": name, "value": value, "lower": -1e6, "upper": 1e6,
+            "scale": "linear", "shift": 0.0}
+
+
+def _se(dim, s2, *ls):
+    return {"kind": "SquaredExp", "dim": dim,
+            "params": [_pos("variance", s2)]
+            + [_pos(f"l{i}", v) for i, v in enumerate(ls, start=1)]}
+
+
+# kernel files in the layout users write by hand for ``stepgp fit``
+HAND_WRITTEN = {
+    "Gibbs-Arctan-axis1": (
+        {"kind": "Gibbs", "dim": 2, "params": [_pos("variance", 0.4)],
+         "lsfn": {"kind": "Arctan", "axis": 1, "params": [
+             _free("c1", 30.0),
+             {"name": "c2", "value": 1.6, "lower": 1.5807963267948966,
+              "upper": 1000001.5707963269, "scale": "log",
+              "shift": 1.5707963267948966}]}},
+        sg.GibbsKernel(2, sg.ArctanLS(c1=30.0, c2=1.6, axis=1), sigma2=0.4)),
+    "Warped-PeriodicPair": (
+        {"kind": "Warped", "dim": 1,
+         "warp": {"kind": "PeriodicPair", "params": [], "period": 2.0},
+         "child": _se(2, 1.5, 0.5, 0.7)},
+        sg.WarpedKernel(sg.PeriodicPairWarp(2.0),
+                        sg.SquaredExponential(2, sigma2=1.5,
+                                              lengthscales=[0.5, 0.7]))),
+    "Warped-Erf": (
+        {"kind": "Warped", "dim": 2,
+         "warp": {"kind": "Erf", "params": [_pos("c1", 100.0)], "axis": 0},
+         "child": _se(2, 0.15, 0.36, 40.0)},
+        sg.WarpedKernel(sg.ErfWarp(c1=100.0, axis=0),
+                        sg.SquaredExponential(2, sigma2=0.15,
+                                              lengthscales=[0.36, 40.0]))),
+    "Sum": (
+        {"kind": "Sum", "dim": 1, "children": [
+            _se(1, 1.0, 0.3),
+            {"kind": "Matern32", "dim": 1,
+             "params": [_pos("variance", 2.0), _pos("l1", 1.2)]}]},
+        sg.SquaredExponential(1, sigma2=1.0, lengthscales=0.3)
+        + sg.Matern32(1, sigma2=2.0, lengthscales=1.2)),
+    "Scaled": (
+        {"kind": "Scaled", "c": 2.5, "child": _se(1, 1.0, 0.8)},
+        2.5 * sg.SquaredExponential(1, sigma2=1.0, lengthscales=0.8)),
+    "NeuralNetShifted": (
+        {"kind": "NeuralNetShifted", "dim": 1, "params": [
+            _pos("variance", 1.0), _pos("sigma0", 1.0), _pos("sigma1", 50.0),
+            _free("tau1", 0.25)]},
+        sg.NeuralNetShifted(1, sigma2=1.0, sigmas=[1.0, 50.0], tau=0.25)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(HAND_WRITTEN))
+def test_hand_written_kernel_layout(name):
+    d, want = HAND_WRITTEN[name]
+    k = kernel_from_dict(d)
+    assert type(k) is type(want)
+    assert k.dim == want.dim
+    assert [dataclasses.astuple(p) for p in k.params] == \
+        [dataclasses.astuple(p) for p in want.params]
+    X = random_points(np.random.default_rng(3), sg.Box.cube(-2.0, 2.0, k.dim), 7)
+    assert np.array_equal(k.gram(X), want.gram(X))
+
+
 def test_yaml_survives_awkward_floats(tmp_path):
     data = {"a": 0.1, "b": 1.0 + 2.0 ** -52, "c": 1e-300, "d": 5e-324,
             "e": 1.7976931348623157e308, "f": -0.0,
@@ -68,6 +138,17 @@ def test_kernel_from_dict_validation():
         kernel_from_dict({"kind": "Gibbs", "dim": 1, "params": []})
     with pytest.raises(ConfigError):
         kernel_from_dict({"kind": "Sum", "dim": 1, "children": []})
+    se = _se(1, 1.0, 0.3)
+    with pytest.raises(ConfigError):
+        kernel_from_dict({"kind": "Scaled", "child": se})
+    with pytest.raises(ConfigError):
+        kernel_from_dict({"kind": "Warped", "dim": 1,
+                          "warp": {"kind": "Erf", "params": []}, "child": se})
+    with pytest.raises(ConfigError):
+        kernel_from_dict({**se, "params": [_pos("variance", 1.0),
+                                           _pos("lengthscale", 0.3)]})
+    with pytest.raises(ConfigError):
+        kernel_from_dict({**se, "dim": 2})
 
 
 def test_model_round_trip_reproduces_predictions(tmp_path):

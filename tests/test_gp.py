@@ -216,6 +216,11 @@ def test_exact_duplicates_rejected():
     X = np.array([[0.0], [0.0], [1.0]])
     with pytest.raises(DataError):
         sg.TrainingSet(X, np.zeros(3))
+    # pairs (0, 4) and (1, 3) both coincide; the first in row-major
+    # upper-triangle order is named
+    X = np.array([[0.0, 1.0], [1.0, 0.0], [2.0, 2.0], [1.0, 0.0], [0.0, 1.0]])
+    with pytest.raises(DataError, match=r"training rows 0 and 4 coincide"):
+        sg.TrainingSet(X, np.zeros(5))
 
 
 def test_single_point_rejected():

@@ -1,6 +1,7 @@
 """Cross-cutting kernel properties: symmetry, positive semidefiniteness,
 and Gram-matrix construction, over every kind and composition rule."""
 
+import dataclasses
 import zlib
 
 import numpy as np
@@ -40,6 +41,27 @@ def test_gram_psd(kind):
         eig = np.linalg.eigvalsh(K)
         assert eig[0] >= -1e-8 * max(eig[-1], 0.0), \
             f"{kind}: min eig {eig[0]:.3e} vs max {eig[-1]:.3e}"
+
+
+@pytest.mark.parametrize("kind", ALL_KINDS)
+def test_with_values(kind):
+    rng = np.random.default_rng(zlib.crc32(kind.encode()) + 2)
+    k, box = KIND_BUILDERS[kind](rng)
+    X = random_points(rng, box, 10)
+    same = k.with_values([p.value for p in k.params])
+    assert [dataclasses.astuple(p) for p in same.params] == \
+        [dataclasses.astuple(p) for p in k.params]
+    assert np.array_equal(same.gram(X), k.gram(X))
+
+    search = sg.default_bounds(k, box)
+    new = [max(p.lower, s.lower) + u * (min(p.upper, s.upper)
+                                         - max(p.lower, s.lower))
+           for p, s, u in zip(k.params, search, rng.random(k.n_params))]
+    moved = k.with_values(new)
+    assert [p.value for p in moved.params] == new
+    for p, q in zip(k.params, moved.params):
+        assert (q.name, q.lower, q.upper, q.scale, q.shift) == \
+            (p.name, p.lower, p.upper, p.scale, p.shift)
 
 
 def test_gram_single_point():

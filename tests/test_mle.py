@@ -1,11 +1,15 @@
 """Likelihood evaluation and bounded multi-start estimation."""
 
+import zlib
+
 import numpy as np
 import pytest
 
 import stepgp as sg
 from stepgp import OptimizationError
 from stepgp.mle import default_bounds
+
+from _instances import KIND_BUILDERS
 
 
 def test_loglik_identity_gram_hand_value():
@@ -166,11 +170,15 @@ def test_default_bounds_warped_child_uses_image_box():
     assert b["warp.c1"].upper == pytest.approx(1e3)
 
 
-def test_default_bounds_names_follow_kernel_order():
-    box = sg.Box.cube(-2.0, 2.0, 1)
-    k = sg.compose("Sum", sg.SquaredExponential(1), sg.Matern32(1))
-    b = default_bounds(k, box)
+@pytest.mark.parametrize("kind", sorted(KIND_BUILDERS))
+def test_default_bounds_names_follow_kernel_order(kind):
+    rng = np.random.default_rng(zlib.crc32(kind.encode()))
+    k, box = KIND_BUILDERS[kind](rng)
+    b = default_bounds(k, box, rng.normal(size=5))
     assert [p.name for p in b] == [p.name for p in k.params]
+    # maximize_likelihood searches the intersection with each own box
+    for p, q in zip(k.params, b):
+        assert max(p.lower, q.lower) <= min(p.upper, q.upper), p.name
 
 
 @pytest.mark.filterwarnings("ignore:invalid value encountered")
