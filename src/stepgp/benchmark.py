@@ -21,8 +21,9 @@ A method failure is recorded as a failed row; the sweep never aborts.
 from __future__ import annotations
 
 import logging
+import multiprocessing
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 from typing import Callable, Sequence
 
@@ -236,6 +237,29 @@ def _run_cell(tf, method, training, Xtest, truth, seed, n_restarts,
             status=f"failed:{type(e).__name__}")
 
 
+# The cell list of a forked sweep worker.  Only _init_worker assigns it,
+# and only inside a worker process; the parent's copy stays empty.
+_worker_cells: list = []
+
+
+def _init_worker(cells) -> None:
+    global _worker_cells
+    _worker_cells = cells
+
+
+def _run_index(i: int) -> ExperimentResult:
+    return _run_cell(*_worker_cells[i])
+
+
+def sweep_start_method(jobs: int, n_cells: int) -> str:
+    """How :func:`run_experiment` runs ``n_cells`` cells at ``jobs``:
+    ``"fork"`` when it forks worker processes, else ``"serial"``."""
+    if min(jobs, n_cells) > 1 and \
+            "fork" in multiprocessing.get_all_start_methods():
+        return "fork"
+    return "serial"
+
+
 def run_experiment(tfs: Sequence[TestFunction],
                    methods: Sequence[MethodSpec] | None = None,
                    replicates: int = 20, n_train: int | None = None,
@@ -248,8 +272,16 @@ def run_experiment(tfs: Sequence[TestFunction],
     Returns exactly len(tfs) * replicates * len(methods) rows, failures
     included, in deterministic (function, replicate, method) order.
     ``on_result`` is invoked once per row, in that same order, as soon as
-    the row is available.  ``jobs`` > 1 fits cells in a thread pool; seeds
-    are per-cell, so the numbers do not depend on the degree.
+    the row is available.
+
+    ``jobs`` > 1 forks ``min(jobs, cells)`` worker processes.  They
+    inherit the cell list through the fork, so designs, methods and
+    target functions are never pickled, and lambdas work: only a cell
+    index goes to a worker and only its :class:`ExperimentResult` comes
+    back.  If ``on_result`` raises, cells not yet started are cancelled.
+    Where the platform has no ``fork`` start method the cells run
+    serially.  Seeds are per-cell, so the rows do not depend on ``jobs``
+    apart from ``wall_ms``.
     """
     if methods is None:
         methods = default_methods()
@@ -273,28 +305,33 @@ def run_experiment(tfs: Sequence[TestFunction],
                                    box=tf.domain)
             for m, method in enumerate(methods, start=1):
                 seed = master_seed + 1000 * r + m
-                cells.append((tf, method, training, Xtest, truth, seed, r))
-
-    def run(cell):
-        tf, method, training, Xtest, truth, seed, r = cell
-        return _run_cell(tf, method, training, Xtest, truth, seed,
-                         n_restarts, r)
+                cells.append((tf, method, training, Xtest, truth, seed,
+                              n_restarts, r))
 
     results: list[ExperimentResult] = []
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            futures = [pool.submit(run, c) for c in cells]
-            for fut in futures:
-                res = fut.result()
-                results.append(res)
-                if on_result is not None:
-                    on_result(res)
+
+    def emit(res):
+        results.append(res)
+        if on_result is not None:
+            on_result(res)
+
+    if sweep_start_method(jobs, len(cells)) == "fork":
+        # fork, not spawn: the cells hold lambdas and local functions.
+        # Under fork the executor starts every worker before its manager
+        # thread, so the pool adds no thread that a fork could copy
+        # mid-operation.  A dead worker raises BrokenProcessPool.
+        pool = ProcessPoolExecutor(
+            max_workers=min(jobs, len(cells)),
+            mp_context=multiprocessing.get_context("fork"),
+            initializer=_init_worker, initargs=(cells,))
+        try:
+            for res in pool.map(_run_index, range(len(cells))):
+                emit(res)
+        finally:
+            pool.shutdown(cancel_futures=True)
     else:
-        for c in cells:
-            res = run(c)
-            results.append(res)
-            if on_result is not None:
-                on_result(res)
+        for cell in cells:
+            emit(_run_cell(*cell))
     return results
 
 

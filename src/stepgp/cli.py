@@ -22,6 +22,7 @@ from .benchmark import (
     result_row,
     run_experiment,
     summarize,
+    sweep_start_method,
     write_summary_csv,
     RESULT_COLUMNS,
 )
@@ -63,6 +64,14 @@ def _hash_bytes(*chunks: bytes) -> str:
 def _meta(master_seed, config_hash) -> dict:
     return {"tool": f"stepgp-{__version__}", "master_seed": master_seed,
             "config_hash": config_hash}
+
+
+def _usable_cpus() -> int:
+    """CPUs this process may run on: its affinity mask where the
+    platform has one, else the machine's count."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
 
 
 def _parse_domain(text: str) -> tuple[float, float]:
@@ -165,12 +174,16 @@ def cmd_benchmark(args) -> int:
             raise ConfigError("jobs must be >= 0")
         cfg.jobs = args.jobs
     out_dir = os.environ.get("STEPGP_OUT_DIR") or args.out_dir or cfg.out_dir
-    jobs = cfg.jobs if cfg.jobs > 0 else (os.cpu_count() or 1)
+    jobs = cfg.jobs if cfg.jobs > 0 else _usable_cpus()
+    n_cells = len(cfg.functions) * cfg.replicates * len(cfg.methods)
 
     os.makedirs(out_dir, exist_ok=True)
     results_path = os.path.join(out_dir, cfg.results)
     summary_path = os.path.join(out_dir, cfg.summary)
-    meta = _meta(cfg.master_seed, _hash_bytes(cfg_bytes))
+    # how the wall_ms column was produced; the other numbers do not
+    # depend on it
+    meta = dict(_meta(cfg.master_seed, _hash_bytes(cfg_bytes)), jobs=jobs,
+                start_method=sweep_start_method(jobs, n_cells))
 
     results_fh = open(results_path, "w")
     try:
@@ -247,7 +260,8 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--seed", type=int, default=None,
                    help="override config master_seed")
     p.add_argument("--jobs", type=int, default=None,
-                   help="parallel cells (0 = all cores)")
+                   help="worker processes to fork for the cells "
+                        "(0 = one per usable CPU)")
     p.add_argument("--out-dir", default=None,
                    help="output directory (env STEPGP_OUT_DIR wins)")
     p.set_defaults(func=cmd_benchmark)

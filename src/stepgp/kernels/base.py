@@ -202,23 +202,26 @@ class OuterFnKernel(_Unary):
         return self._g_vals(X1)[:, None] * K * self._g_vals(X2)[None, :]
 
 
+_COMPOSE = {
+    "Sum": (SumKernel, ("k1", "k2")),
+    "Product": (ProductKernel, ("k1", "k2")),
+    "Scaled": (ScaledKernel, ("c", "k")),
+    "ShiftedConst": (ShiftedKernel, ("k", "c")),
+    "OuterFn": (OuterFnKernel, ("k", "g")),
+}
+
+
 def compose(kind: str, *args) -> Kernel:
     """Build a composite kernel: Sum(k1, k2), Product(k1, k2), Scaled(c, k),
     ShiftedConst(k, c) or OuterFn(k, g)."""
-    if kind == "Sum":
-        return SumKernel(*args)
-    if kind == "Product":
-        return ProductKernel(*args)
-    if kind == "Scaled":
-        c, k = args
-        return ScaledKernel(c, k)
-    if kind == "ShiftedConst":
-        k, c = args
-        return ShiftedKernel(k, c)
-    if kind == "OuterFn":
-        k, g = args
-        return OuterFnKernel(k, g)
-    raise ParameterError(f"unknown composition kind: {kind!r}")
+    if kind not in _COMPOSE:
+        raise ParameterError(f"unknown composition kind: {kind!r}")
+    cls, names = _COMPOSE[kind]
+    if len(args) != len(names):
+        raise ParameterError(
+            f"{kind} takes {len(names)} arguments ({', '.join(names)}), "
+            f"got {len(args)}")
+    return cls(*args)
 
 
 def gram_matrix(kernel: Kernel, X) -> np.ndarray:

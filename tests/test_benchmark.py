@@ -1,6 +1,8 @@
 """Test functions, RMSE protocol, and experiment bookkeeping."""
 
 import dataclasses
+import multiprocessing
+import warnings
 
 import numpy as np
 import pytest
@@ -133,6 +135,61 @@ def test_failed_cells_recorded_not_raised():
     assert bad.status == "failed:RuntimeError"
     assert np.isnan(bad.rmse)
     assert good.ok
+
+
+def test_forked_workers_match_serial_rows_in_order():
+    # a lambda target and a local method: neither can be pickled, so the
+    # rows come out right only if the workers inherit the cells by fork
+    def broken(d):
+        raise RuntimeError("no kernel today")
+
+    methods = [MethodSpec("Broken", broken)] + _cheap_methods()
+    kw = dict(replicates=2, n_train=6, n_t=30, master_seed=3, n_restarts=1)
+    serial = sg.run_experiment([_sine_tf()], methods, **kw)
+    seen = []
+    forked = sg.run_experiment([_sine_tf()], methods, jobs=2,
+                               on_result=seen.append, **kw)
+
+    def strip(rows):
+        # repr, because a failed row's NaN rmse never compares equal
+        return [repr(dataclasses.replace(r, wall_ms=0.0)) for r in rows]
+
+    assert strip(forked) == strip(serial)
+    assert strip(seen) == strip(serial)
+    assert [r.status for r in serial].count("failed:RuntimeError") == 2
+
+
+def test_more_jobs_than_cells_leaves_no_workers_or_warnings():
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        results = sg.run_experiment([_sine_tf()], _cheap_methods(),
+                                    replicates=1, n_train=6, n_t=20,
+                                    master_seed=0, n_restarts=1, jobs=8)
+    assert [r.method for r in results] == ["SquarExp", "Mat32"]
+    assert all(r.ok for r in results)
+    assert multiprocessing.active_children() == []
+
+
+def test_on_result_error_cancels_pending_cells(tmp_path):
+    def counted(d):
+        # one "x" per started cell, one file per process
+        pid = multiprocessing.current_process().pid
+        with open(tmp_path / str(pid), "a") as fh:
+            fh.write("x")
+        return [sg.SquaredExponential(d)]
+
+    def stop(res):
+        raise KeyError("stop")
+
+    n_cells = 20
+    with pytest.raises(KeyError):
+        sg.run_experiment([_sine_tf()], [MethodSpec("Counted", counted)],
+                          replicates=n_cells, n_train=6, n_t=20,
+                          master_seed=0, n_restarts=1, jobs=2,
+                          on_result=stop)
+    started = sum(len(f.read_text()) for f in tmp_path.iterdir())
+    assert 1 <= started < n_cells
+    assert multiprocessing.active_children() == []
 
 
 def test_experiment_validation():

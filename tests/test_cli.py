@@ -1,5 +1,6 @@
 """Command-line interface: flags, files, exit codes, atomicity."""
 
+import multiprocessing
 import os
 import signal
 import subprocess
@@ -184,10 +185,12 @@ def test_benchmark_smoke_run(tmp_path, capsys):
 
     results = out_dir / "results.csv"
     summary = out_dir / "summary.csv"
-    head = results.read_text().splitlines()[:3]
+    head = results.read_text().splitlines()[:5]
     assert head[0].startswith("# tool=stepgp-")
     assert head[1] == "# master_seed=0"
     assert head[2].startswith("# config_hash=")
+    assert head[3:] == ["# jobs=1", "# start_method=serial"]
+    assert summary.read_text().splitlines()[:5] == head
     rows = _data_rows(results)
     assert rows[0].split(",")[:3] == ["function", "dim", "method"]
     assert len(rows) == 1 + 4
@@ -234,6 +237,29 @@ def test_benchmark_flag_overrides(tmp_path):
     assert len(rows) == 1 + 3
     seeds = [int(r.split(",")[4]) for r in rows[1:]]
     assert seeds == [6, 1006, 2006]
+
+
+def _meta_lines(path):
+    return [l for l in path.read_text().splitlines() if l.startswith("#")]
+
+
+def test_benchmark_jobs_zero_counts_usable_cpus(tmp_path, monkeypatch):
+    out_dir = tmp_path / "out"
+    cfg = _smoke_config(tmp_path, out_dir, jobs=0)
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0, 2, 5},
+                        raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: 64)
+    assert cli.main(["benchmark", "--config", str(cfg)]) == 0
+    meta = _meta_lines(out_dir / "results.csv")
+    assert "# jobs=3" in meta
+    method = ("fork" if "fork" in multiprocessing.get_all_start_methods()
+              else "serial")
+    assert f"# start_method={method}" in meta
+    assert _meta_lines(out_dir / "summary.csv") == meta
+
+    # without an affinity mask the machine's count is used
+    monkeypatch.delattr(os, "sched_getaffinity")
+    assert cli._usable_cpus() == 64
 
 
 def test_benchmark_bad_config_exits_2(tmp_path, capsys):

@@ -115,3 +115,23 @@ def test_outer_fn_g_not_cached():
     n_first = len(calls)
     k(0.1, 0.2)
     assert len(calls) == 2 * n_first
+
+
+@pytest.mark.parametrize("kind,args,expected", [
+    ("Sum", (_se(),), "k1, k2"),
+    ("Product", (_se(), _se(), _se()), "k1, k2"),
+    ("Scaled", (2.0,), "c, k"),
+    ("ShiftedConst", (_se(), 1.0, 2.0), "k, c"),
+    ("OuterFn", (_se(),), "k, g"),
+])
+def test_compose_wrong_arity_names_kind_and_arguments(kind, args, expected):
+    with pytest.raises(ParameterError) as exc:
+        sg.compose(kind, *args)
+    msg = str(exc.value)
+    assert kind in msg and f"({expected})" in msg
+    assert f"got {len(args)}" in msg
+
+
+def test_compose_unknown_kind():
+    with pytest.raises(ParameterError):
+        sg.compose("Quotient", _se(), _se())
