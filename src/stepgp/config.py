@@ -153,6 +153,7 @@ def mlresult_to_dict(res: MLResult) -> dict:
         "at_boundary": list(res.at_boundary),
         "n_evals": int(res.n_evals),
         "seed": int(res.seed),
+        "jitter": float(res.jitter),
         "values": {k: float(v) for k, v in res.values.items()},
         "restarts": [
             {"index": r.index, "loglik": float(r.loglik),

@@ -10,7 +10,9 @@ K the training Gram matrix and 1 the all-ones vector:
              + (1 - 1' K^-1 k(x))^2 / (1' K^-1 1)
 
 The last variance term charges for not knowing the mean.  All solves go
-through one Cholesky factorization of K plus a small diagonal nugget.
+through one Cholesky factorization of K plus a small diagonal nugget,
+made by ``_factor_solve``, the helper that ``fit``, ``estimate_mu`` and
+``mle.log_likelihood`` share.
 """
 
 from __future__ import annotations
@@ -19,7 +21,8 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve, cholesky
+from scipy.linalg import cho_solve
+from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import pdist
 
 from .domain import Box
@@ -90,54 +93,65 @@ class TrainingSet:
         return self.X.shape[1]
 
 
-def _chol_with_jitter(K: np.ndarray, fixed_jitter: float | None = None):
-    """Lower Cholesky factor of K + jitter*I.
+def _factor_solve(K: np.ndarray, y: np.ndarray,
+                  fixed_jitter: float | None = None):
+    """Factor K + jitter*I and solve for the GLS mean and the weights.
 
-    The nugget starts at JITTER_INIT * mean(diag K) and grows tenfold on
-    every failure, up to JITTER_MAX_TRIES escalations.  Returns (L, jitter).
+    The one factorization behind :func:`fit`, :func:`estimate_mu` and
+    ``mle.log_likelihood``.  It calls LAPACK ``dpotrf``/``dpotrs`` directly
+    and writes the nugget onto the diagonal of ``K``, which it therefore
+    consumes.  The nugget starts at JITTER_INIT * mean(diag K) and grows
+    tenfold on every failure, up to JITTER_MAX_TRIES escalations;
+    ``fixed_jitter`` uses exactly that nugget instead.
+
+    Returns ``(L, jitter, Kinv_one, one_Kinv_one, mu_hat, alpha)``: the
+    lower Cholesky factor, the nugget, K^-1 1, 1' K^-1 1, the GLS mean and
+    K^-1 (y - mu_hat 1).
     """
     n = K.shape[0]
-    mean_diag = float(np.mean(np.diag(K)))
+    diag = K.diagonal().copy()
+    # np.mean's arithmetic (sum, then divide by n) without its overhead
+    mean_diag = float(diag.sum()) / n
     if not np.isfinite(mean_diag) or mean_diag <= 0:
         raise NumericsError(
             f"Gram diagonal is not positive (mean {mean_diag})")
-    if fixed_jitter is not None:
-        try:
-            L = cholesky(K + fixed_jitter * np.eye(n), lower=True)
-            return L, float(fixed_jitter)
-        except np.linalg.LinAlgError as e:
+    if not np.isfinite(K).all():
+        raise NumericsError("Gram matrix has non-finite entries")
+    # a view of the diagonal through the flat array needs C order
+    K = np.ascontiguousarray(K)
+    on_diag = K.reshape(-1)[::n + 1]
+    if fixed_jitter is None:
+        jitter, tries = JITTER_INIT * mean_diag, JITTER_MAX_TRIES + 1
+    else:
+        jitter, tries = float(fixed_jitter), 1
+    for attempt in range(tries):
+        np.add(diag, jitter, out=on_diag)
+        L, info = dpotrf(K, lower=1)
+        if info == 0:
+            break
+        jitter *= JITTER_GROWTH
+    else:
+        if fixed_jitter is not None:
             raise NumericsError(
-                f"Cholesky failed at fixed jitter {fixed_jitter:.3g}") from e
-    jitter = JITTER_INIT * mean_diag
-    for attempt in range(JITTER_MAX_TRIES + 1):
-        try:
-            L = cholesky(K + jitter * np.eye(n), lower=True)
-            if attempt > 0:
-                log.debug("Cholesky needed jitter %.3g (attempt %d)",
-                          jitter, attempt + 1)
-            return L, jitter
-        except np.linalg.LinAlgError:
-            jitter *= JITTER_GROWTH
-    raise NumericsError(
-        f"Cholesky failed for all nuggets up to {jitter / JITTER_GROWTH:.3g}")
-
-
-def _mu_from_factor(L, y):
-    n = y.shape[0]
+                f"Cholesky failed at fixed jitter {fixed_jitter:.3g}")
+        raise NumericsError(f"Cholesky failed for all nuggets up to "
+                            f"{jitter / JITTER_GROWTH:.3g}")
+    if attempt > 0:
+        log.debug("Cholesky needed jitter %.3g (attempt %d)",
+                  jitter, attempt + 1)
     one = np.ones(n)
-    Kinv_one = cho_solve((L, True), one)
+    Kinv_one, _ = dpotrs(L, one, lower=1)
     denom = float(one @ Kinv_one)
     if denom <= 0 or not np.isfinite(denom):
         raise NumericsError(f"1' K^-1 1 must be positive, got {denom}")
-    return float(Kinv_one @ y) / denom, Kinv_one, denom
+    mu = float(Kinv_one @ y) / denom
+    alpha, _ = dpotrs(L, y - mu, lower=1)
+    return L, jitter, Kinv_one, denom, mu, alpha
 
 
 def estimate_mu(kernel: Kernel, training: TrainingSet) -> float:
     """GLS estimate of the constant mean under the given kernel."""
-    K = kernel.gram(training.X)
-    L, _ = _chol_with_jitter(K)
-    mu, _, _ = _mu_from_factor(L, training.y)
-    return mu
+    return _factor_solve(kernel.gram(training.X), training.y)[4]
 
 
 @dataclass
@@ -197,10 +211,8 @@ def fit(kernel: Kernel, training: TrainingSet,
     if kernel.dim != training.d:
         raise DimensionError(
             f"kernel dimension {kernel.dim} != data dimension {training.d}")
-    K = kernel.gram(training.X)
-    L, jitter = _chol_with_jitter(K, fixed_jitter)
-    mu, Kinv_one, denom = _mu_from_factor(L, training.y)
-    alpha = cho_solve((L, True), training.y - mu)
+    L, jitter, Kinv_one, denom, mu, alpha = _factor_solve(
+        kernel.gram(training.X), training.y, fixed_jitter)
     return FittedGP(kernel=kernel, training=training, mu_hat=mu,
                     jitter_used=jitter, L=L, alpha=alpha,
                     Kinv_one=Kinv_one, one_Kinv_one=denom)

@@ -10,12 +10,24 @@ through the :class:`~.params.Node` protocol.
 from __future__ import annotations
 
 from abc import ABC, abstractmethod
+from functools import lru_cache
 from typing import Callable
 
 import numpy as np
 
 from ..errors import DimensionError, ParameterError
 from .params import Node
+
+
+@lru_cache(maxsize=8)
+def _mirror_index(n: int) -> tuple[np.ndarray, np.ndarray]:
+    """Flat indices into a C-ordered n-by-n matrix: the strict lower
+    triangle, and the upper-triangle entry each one mirrors."""
+    i, j = np.tril_indices(n, -1)
+    lower, upper = i * n + j, j * n + i
+    lower.flags.writeable = False
+    upper.flags.writeable = False
+    return lower, upper
 
 
 class Kernel(Node, ABC):
@@ -36,7 +48,8 @@ class Kernel(Node, ABC):
 
     @abstractmethod
     def _cross(self, X1: np.ndarray, X2: np.ndarray) -> np.ndarray:
-        """Covariance matrix between two validated point sets."""
+        """Covariance matrix between two validated point sets, as a new
+        array (:meth:`gram` mirrors it in place)."""
 
     # -- evaluation ---------------------------------------------------------
 
@@ -70,9 +83,15 @@ class Kernel(Node, ABC):
         """Symmetric Gram matrix; the upper triangle is mirrored so
         K[i, j] == K[j, i] holds exactly."""
         X = self._check(X)
-        K = self._cross(X, X)
-        U = np.triu(K)
-        return U + np.triu(K, 1).T
+        K = np.ascontiguousarray(self._cross(X, X), dtype=float)
+        lower, upper = _mirror_index(K.shape[0])
+        flat = K.reshape(-1)
+        flat[lower] = flat[upper]
+        # adding 0.0 turns -0.0 into +0.0, so the bytes equal those of
+        # triu(K) + triu(K, 1).T, which the tests take as the reference.
+        # A new array rather than K += 0.0: a Gram allocated after the
+        # temporaries of _cross are freed keeps peak memory lower at large n
+        return K + 0.0
 
     # -- bookkeeping --------------------------------------------------------
 

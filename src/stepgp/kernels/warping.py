@@ -158,7 +158,12 @@ class PeriodicPairWarp(WarpMap):
 
 @Kernel.register
 class WarpedKernel(Kernel):
-    """k(M(x), M(x')) for a warp map M and a base kernel k."""
+    """k(M(x), M(x')) for a warp map M and a base kernel k.
+
+    Warps stack: when k is itself warped, its parameters take the prefix
+    ``base.`` (``warp.c1``, ``base.warp.c1``, ``base.variance``, ...), so
+    the two warps' names stay apart.
+    """
 
     kind = "Warped"
     slots = (("warp", "warp.", WarpMap), ("child", "", Kernel))
@@ -176,6 +181,9 @@ class WarpedKernel(Kernel):
                 f"but the base kernel expects {child.dim}-D")
         self.warp = warp
         self.child = child
+        if isinstance(child, WarpedKernel):
+            self.slots = (("warp", "warp.", WarpMap),
+                          ("child", "base.", Kernel))
         self._assert_unique_names()
 
     def child_boxes(self, box):

@@ -7,6 +7,8 @@ The profiled log-likelihood (constant mean replaced by its GLS estimate)
 is maximized with bounded Nelder-Mead restarted from a deterministic
 Latin-hypercube of starting points.  Positive parameters are searched as
 ln(value - shift), so no simplex move can propose an infeasible value.
+Every evaluation factors K through ``gp._factor_solve``, the helper that
+``gp.fit`` also uses, so both apply one nugget policy.
 """
 
 from __future__ import annotations
@@ -19,10 +21,9 @@ from scipy.optimize import Bounds, minimize
 
 from .domain import Box
 from .errors import NumericsError, OptimizationError, ParameterError
-from .gp import TrainingSet, _chol_with_jitter, _mu_from_factor
+from .gp import TrainingSet, _factor_solve
 from .kernels import HyperParam, Kernel
 from .kernels.params import Node, search_box
-from scipy.linalg import cho_solve
 
 log = logging.getLogger(__name__)
 
@@ -35,11 +36,8 @@ _BLOCK = 10
 
 def log_likelihood(kernel: Kernel, training: TrainingSet) -> float:
     """Profiled Gaussian log-likelihood of the training data."""
-    K = kernel.gram(training.X)
-    L, _ = _chol_with_jitter(K)
-    mu, _, _ = _mu_from_factor(L, training.y)
+    L, _, _, _, mu, alpha = _factor_solve(kernel.gram(training.X), training.y)
     r = training.y - mu
-    alpha = cho_solve((L, True), r)
     n = training.n
     return float(-0.5 * n * np.log(2.0 * np.pi)
                  - np.sum(np.log(np.diag(L)))
@@ -97,7 +95,8 @@ class RestartRecord:
 
 @dataclass(frozen=True)
 class MLResult:
-    """Best fit over all restarts."""
+    """Best fit over all restarts.  ``jitter`` is the nugget the
+    likelihood used at the best values, the one ``gp.fit`` picks there."""
 
     kernel: Kernel
     loglik: float
@@ -106,6 +105,7 @@ class MLResult:
     restarts: tuple[RestartRecord, ...]
     n_evals: int
     seed: int
+    jitter: float
 
     @property
     def values(self) -> dict[str, float]:
@@ -168,7 +168,8 @@ def maximize_likelihood(kernel: Kernel, training: TrainingSet,
     if not search:
         ll = log_likelihood(kernel, training)
         return MLResult(kernel=kernel, loglik=ll, converged=True,
-                        at_boundary=(), restarts=(), n_evals=1, seed=seed)
+                        at_boundary=(), restarts=(), n_evals=1, seed=seed,
+                        jitter=_jitter_at(kernel, training))
 
     def neg_ll(theta):
         vals = [s.from_optim(t) for s, t in zip(search, theta)]
@@ -213,10 +214,19 @@ def maximize_likelihood(kernel: Kernel, training: TrainingSet,
         if abs(v - s.lower) <= tol_lo or abs(v - s.upper) <= tol_hi:
             at_boundary.append(s.name)
 
-    return MLResult(kernel=kernel.with_values(best.values),
+    best_kernel = kernel.with_values(best.values)
+    return MLResult(kernel=best_kernel,
                     loglik=best.loglik,
                     converged=bool(converged),
                     at_boundary=tuple(at_boundary),
                     restarts=tuple(records),
                     n_evals=sum(rec.n_evals for rec in records),
-                    seed=seed)
+                    seed=seed,
+                    jitter=_jitter_at(best_kernel, training))
+
+
+def _jitter_at(kernel: Kernel, training: TrainingSet) -> float:
+    """The nugget the likelihood of ``kernel`` uses.  The factorization is
+    deterministic, so this repeats the one behind the recorded
+    log-likelihood instead of threading the nugget out of the objective."""
+    return _factor_solve(kernel.gram(training.X), training.y)[1]

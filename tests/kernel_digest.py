@@ -7,7 +7,11 @@ For each kind, at a seed fixed by the kind's name, it prints:
 - ``default_bounds(k, box, y)`` as ``dataclasses.astuple`` lists;
 - ``params`` after ``with_values`` at new values drawn inside the default
   search boxes;
-- a SHA-256 digest of the Gram matrix before and after that update.
+- a SHA-256 digest of the Gram matrix before and after that update;
+- SHA-256 digests of ``log_likelihood`` and ``estimate_mu``, and of every
+  ``fit`` field (``L``, ``alpha``, ``Kinv_one``, ``one_Kinv_one``,
+  ``mu_hat``, ``jitter_used``), before and after that update, so the whole
+  objective is compared and not only the Gram matrices.
 
 With ``--write DIR`` it also saves every serializable kernel to
 ``DIR/<kind>.yaml``; with ``--read DIR`` it instead loads those files and
@@ -40,8 +44,35 @@ def _build(kind):
     return rng, k, box, X, y
 
 
+def _sha(*arrays):
+    h = hashlib.sha256()
+    for a in arrays:
+        h.update(np.asarray(a, dtype=float).tobytes())
+    return h.hexdigest()[:16]
+
+
 def _digest(k, X):
-    return hashlib.sha256(k.gram(X).tobytes()).hexdigest()[:16]
+    return _sha(k.gram(X))
+
+
+def _objective_digests(k, ts):
+    """Digests of the likelihood, the GLS mean and the fitted model, or
+    the name of the error each one raises."""
+    out = []
+    for label, compute in (
+            ("loglik", lambda: [sg.log_likelihood(k, ts)]),
+            ("mu", lambda: [sg.estimate_mu(k, ts)]),
+            ("fit", lambda: _fit_fields(sg.fit(k, ts)))):
+        try:
+            out.append(f"{label}={_sha(*compute())}")
+        except sg.StepGPError as e:
+            out.append(f"{label}={type(e).__name__}")
+    return " ".join(out)
+
+
+def _fit_fields(gp):
+    return [gp.L, gp.alpha, gp.Kinv_one, gp.one_Kinv_one, gp.mu_hat,
+            gp.jitter_used]
 
 
 def _astuples(params):
@@ -72,6 +103,9 @@ def main():
         k_new = k.with_values(values)
         print(kind, "with_values", _astuples(k_new.params))
         print(kind, "gram", _digest(k, X), _digest(k_new, X))
+        ts = sg.TrainingSet(X, y, box=box)
+        print(kind, "objective", _objective_digests(k, ts), "|",
+              _objective_digests(k_new, ts))
         if args.write and kind != "OuterFn":
             save_kernel(k, path)
 

@@ -178,6 +178,7 @@ def test_mlresult_dict_keeps_restart_diagnostics(tmp_path):
     d = mlresult_to_dict(res)
     assert d["loglik"] == res.loglik
     assert d["seed"] == 2
+    assert d["jitter"] == res.jitter
     assert d["values"] == res.values
     assert len(d["restarts"]) == 3
     for rec, row in zip(res.restarts, d["restarts"]):

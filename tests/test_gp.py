@@ -1,12 +1,17 @@
 """Fitting and prediction: interpolation, the generalized-least-squares
-mean, jitter policy, and the dense-algebra oracle."""
+mean, jitter policy, the dense-algebra oracle, and bitwise agreement with
+the scipy reference factorization in ``_reference.py``."""
+
+import logging
 
 import numpy as np
 import pytest
 
 import stepgp as sg
 from stepgp import DataError, DimensionError
+from stepgp.gp import JITTER_INIT
 
+import _reference as ref
 from _instances import KIND_BUILDERS, STATIONARY_KINDS, random_points
 
 
@@ -256,3 +261,106 @@ def test_predict_dimension_mismatch():
     gp = sg.fit(k, ts)
     with pytest.raises(DimensionError):
         gp.predict(np.zeros(ts.X.shape[1] + 1))
+
+
+# -- the factorization against the scipy cholesky/cho_solve reference -------
+
+
+def _outcome(compute):
+    try:
+        return compute()
+    except sg.NumericsError as e:
+        return type(e)
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_BUILDERS))
+def test_factorization_bitwise_equals_scipy_reference(kind):
+    fitted = 0
+    for k, ts in ref.drawn_kernels(kind):
+        assert k.gram(ts.X).tobytes() == ref.gram(k, ts.X).tobytes()
+        want = _outcome(lambda: ref.fit_fields(k, ts))
+        got = _outcome(lambda: ref.package_fit_fields(sg.fit(k, ts)))
+        mu = _outcome(lambda: sg.estimate_mu(k, ts))
+        if want is sg.NumericsError:
+            assert got is sg.NumericsError and mu is sg.NumericsError
+            continue
+        ref.assert_fields_equal(got, want)
+        assert mu == want[4]
+        fitted += 1
+    assert fitted > 0
+
+
+class _SignedZeros(sg.SquaredExponential):
+    """A squared exponential with -0.0 at (0, 1) and (2, 0)."""
+
+    def _cross(self, X1, X2):
+        K = super()._cross(X1, X2)
+        K[0, 1] = K[2, 0] = -0.0
+        return K
+
+
+def test_gram_mirror_bytes_with_negative_zeros():
+    X = np.linspace(-2.0, 2.0, 4).reshape(-1, 1)
+    k = _SignedZeros(1)
+    K = k.gram(X)
+    assert K.tobytes() == ref.gram(k, X).tobytes()
+    assert not np.any(np.signbit(K))
+
+
+def test_factorization_bitwise_through_jitter_escalation(caplog):
+    box = sg.Box.cube(-2.0, 2.0, 1)
+    X = sg.maximin_lhs(sg.DesignSpec(10, 1, box, seed=0)).points
+    ts = sg.TrainingSet(X, X[:, 0] ** 2, box=box)
+    k = ref.DiagonalDeficit(1, sigma2=2.0, lengthscales=5.0)
+    with caplog.at_level(logging.DEBUG, logger="stepgp.gp"):
+        gp = sg.fit(k, ts)
+    assert [r.getMessage() for r in caplog.records] == \
+        ["Cholesky needed jitter 2e-06 (attempt 5)"]
+    # four escalations past the first nugget
+    assert gp.jitter_used == pytest.approx(
+        1e4 * JITTER_INIT * np.mean(np.diag(k.gram(X))), rel=1e-12)
+    ref.assert_fields_equal(ref.package_fit_fields(gp), ref.fit_fields(k, ts))
+    assert sg.estimate_mu(k, ts) == gp.mu_hat
+
+
+def test_factorization_bitwise_at_fixed_jitter():
+    rng = np.random.default_rng(42)
+    k, ts = _train(rng, "Matern52")
+    for jitter in (0.0, 1e-8, 1e-3):
+        ref.assert_fields_equal(
+            ref.package_fit_fields(sg.fit(k, ts, fixed_jitter=jitter)),
+            ref.fit_fields(k, ts, fixed_jitter=jitter))
+    # an indefinite Gram fails at a nugget too small to lift it, on both
+    box = sg.Box.cube(-2.0, 2.0, 1)
+    X = sg.maximin_lhs(sg.DesignSpec(10, 1, box, seed=0)).points
+    ts = sg.TrainingSet(X, X[:, 0], box=box)
+    k = ref.DiagonalDeficit(1, sigma2=2.0, lengthscales=5.0)
+    match = r"Cholesky failed at fixed jitter 1e-10"
+    with pytest.raises(sg.NumericsError, match=match):
+        ref.fit_fields(k, ts, fixed_jitter=1e-10)
+    with pytest.raises(sg.NumericsError, match=match):
+        sg.fit(k, ts, fixed_jitter=1e-10)
+
+
+def test_non_positive_gram_diagonal_raises():
+    X = np.linspace(-2.0, 2.0, 5).reshape(-1, 1)
+    ts = sg.TrainingSet(X, np.sin(X[:, 0]))
+    k = sg.compose("OuterFn", sg.SquaredExponential(1), lambda x: 0.0)
+    match = r"Gram diagonal is not positive \(mean 0.0\)"
+    with pytest.raises(sg.NumericsError, match=match):
+        ref.fit_fields(k, ts)
+    for compute in (sg.fit, sg.estimate_mu, sg.log_likelihood):
+        with pytest.raises(sg.NumericsError, match=match):
+            compute(k, ts)
+
+
+def test_non_finite_off_diagonal_gram_raises_numerics_error():
+    X = np.linspace(-2.0, 2.0, 5).reshape(-1, 1)
+    ts = sg.TrainingSet(X, np.sin(X[:, 0]))
+    k = ref.NaNCorner(1)
+    K = k.gram(X)
+    assert np.isnan(K[0, -1]) and np.isnan(K[-1, 0])
+    assert np.all(np.isfinite(np.diag(K)))
+    for compute in (sg.fit, sg.estimate_mu, sg.log_likelihood):
+        with pytest.raises(sg.NumericsError, match="non-finite"):
+            compute(k, ts)

@@ -7,8 +7,10 @@ import pytest
 
 import stepgp as sg
 from stepgp import OptimizationError
+from stepgp.gp import JITTER_INIT
 from stepgp.mle import default_bounds
 
+import _reference as ref
 from _instances import KIND_BUILDERS
 
 
@@ -213,3 +215,54 @@ def test_result_reports_restart_records():
     assert res.n_evals == sum(r.n_evals for r in res.restarts)
     best = max(r.loglik for r in res.restarts if r.converged)
     assert res.loglik == best
+
+
+@pytest.mark.parametrize("kind", sorted(KIND_BUILDERS))
+def test_log_likelihood_bitwise_equals_scipy_reference(kind):
+    finite = 0
+    for k, ts in ref.drawn_kernels(kind):
+        try:
+            want = ref.log_likelihood(k, ts)
+        except sg.NumericsError:
+            with pytest.raises(sg.NumericsError):
+                sg.log_likelihood(k, ts)
+            continue
+        got = sg.log_likelihood(k, ts)
+        assert np.float64(got).tobytes() == np.float64(want).tobytes()
+        finite += 1
+    assert finite > 0
+
+
+def test_result_records_nugget_of_best_fit():
+    ts = _sine_training()
+    res = sg.maximize_likelihood(sg.Matern32(1), ts, n_restarts=3, seed=7)
+    assert res.jitter == sg.fit(res.kernel, ts).jitter_used
+    assert sg.log_likelihood(res.kernel, ts) == res.loglik
+    # an optimum whose likelihood needed the jitter ladder
+    box = sg.Box.cube(-2.0, 2.0, 1)
+    X = sg.maximin_lhs(sg.DesignSpec(10, 1, box, seed=0)).points
+    ts = sg.TrainingSet(X, X[:, 0] ** 2, box=box)
+    res = sg.maximize_likelihood(ref.DiagonalDeficit(1), ts, n_restarts=3,
+                                 seed=0)
+    assert res.jitter > 10.0 * JITTER_INIT * res.values["variance"]
+    assert res.jitter == sg.fit(res.kernel, ts).jitter_used
+    # no free parameter: the nugget of the one evaluation
+    res = sg.maximize_likelihood(_UnitSquaredExp(1), ts)
+    assert res.n_evals == 1 and res.restarts == ()
+    assert res.jitter == sg.fit(_UnitSquaredExp(1), ts).jitter_used
+
+
+class _UnitSquaredExp(sg.Kernel):
+    """exp(-(x - x')^2 / 2) on one axis, with no hyperparameters."""
+
+    def _cross(self, X1, X2):
+        return np.exp(-0.5 * (X1[:, None, 0] - X2[None, :, 0]) ** 2)
+
+
+@pytest.mark.filterwarnings("ignore:invalid value encountered")
+def test_non_finite_gram_scores_as_failed_evaluation():
+    # every Gram has a NaN off the diagonal: each evaluation is scored
+    # +inf instead of raising out of the optimizer
+    with pytest.raises(OptimizationError):
+        sg.maximize_likelihood(ref.NaNCorner(1), _sine_training(n=6),
+                               n_restarts=2, seed=0)
