@@ -30,7 +30,7 @@ from typing import Callable, Sequence
 import numpy as np
 
 from .design import DesignSpec, maximin_lhs, uniform_test_set
-from .domain import Box
+from .domain import Box, as_points
 from .errors import ConfigError, DataError, DimensionError
 from .gp import TrainingSet, fit
 from .kernels import (
@@ -105,12 +105,7 @@ def user_function(label: str, fn: Callable, d: int, domain: Box) -> TestFunction
 
 def evaluate(tf: TestFunction, X) -> np.ndarray:
     """Exact target values at rows of X; rejects out-of-domain points."""
-    X = np.asarray(X, dtype=float)
-    if X.ndim == 1:
-        X = X[:, None] if tf.d == 1 else X[None, :]
-    if X.ndim != 2 or X.shape[1] != tf.d:
-        raise DimensionError(
-            f"expected points of dimension {tf.d}, got shape {X.shape}")
+    X = as_points(X, tf.d)
     if not tf.domain.contains(X):
         raise DataError("points fall outside the test function domain")
     if tf.kind == "StepFn":

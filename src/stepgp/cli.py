@@ -27,8 +27,9 @@ from .benchmark import (
     RESULT_COLUMNS,
 )
 from .config import (
+    RunConfig,
     load_kernel,
-    load_run_config,
+    load_yaml,
     mlresult_to_dict,
     model_to_dict,
     save_yaml,
@@ -162,17 +163,12 @@ def cmd_fit(args) -> int:
 def cmd_benchmark(args) -> int:
     with open(args.config, "rb") as fh:
         cfg_bytes = fh.read()
-    cfg = load_run_config(args.config)
-    if args.replicates is not None:
-        cfg.replicates = args.replicates
-        if cfg.replicates < 1:
-            raise ConfigError("replicates must be >= 1")
-    if args.seed is not None:
-        cfg.master_seed = args.seed
-    if args.jobs is not None:
-        if args.jobs < 0:
-            raise ConfigError("jobs must be >= 0")
-        cfg.jobs = args.jobs
+    data = load_yaml(args.config)
+    for key, flag in (("replicates", args.replicates),
+                      ("master_seed", args.seed), ("jobs", args.jobs)):
+        if flag is not None:
+            data[key] = flag
+    cfg = RunConfig(data)
     out_dir = os.environ.get("STEPGP_OUT_DIR") or args.out_dir or cfg.out_dir
     jobs = cfg.jobs if cfg.jobs > 0 else _usable_cpus()
     n_cells = len(cfg.functions) * cfg.replicates * len(cfg.methods)

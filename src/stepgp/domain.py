@@ -1,4 +1,4 @@
-"""Axis-aligned box domains."""
+"""Axis-aligned box domains and point arrays."""
 
 from __future__ import annotations
 
@@ -40,15 +40,10 @@ class Box:
     def widths(self) -> np.ndarray:
         return np.asarray(self.upper) - np.asarray(self.lower)
 
-    @property
-    def diagonal(self) -> float:
-        return float(np.linalg.norm(self.widths))
-
-    def contains(self, X: np.ndarray, atol: float = 0.0) -> bool:
+    def contains(self, X: np.ndarray) -> bool:
         X = np.atleast_2d(np.asarray(X, dtype=float))
-        lo = np.asarray(self.lower) - atol
-        hi = np.asarray(self.upper) + atol
-        return bool((X >= lo).all() and (X <= hi).all())
+        return bool((X >= np.asarray(self.lower)).all()
+                    and (X <= np.asarray(self.upper)).all())
 
     def from_unit(self, U: np.ndarray) -> np.ndarray:
         """Affinely map points in [0, 1]^d onto the box."""
@@ -58,3 +53,15 @@ class Box:
     def to_unit(self, X: np.ndarray) -> np.ndarray:
         X = np.asarray(X, dtype=float)
         return (X - np.asarray(self.lower)) / self.widths
+
+
+def as_points(X, d: int) -> np.ndarray:
+    """X as an (n, d) float array.  A flat array is a column of points
+    when d = 1 and a single point otherwise."""
+    X = np.asarray(X, dtype=float)
+    if X.ndim == 1:
+        X = X[:, None] if d == 1 else X[None, :]
+    if X.ndim != 2 or X.shape[1] != d:
+        raise DimensionError(
+            f"expected points of dimension {d}, got shape {X.shape}")
+    return X

@@ -21,11 +21,10 @@ import logging
 from dataclasses import dataclass, field
 
 import numpy as np
-from scipy.linalg import cho_solve
 from scipy.linalg.lapack import dpotrf, dpotrs
 from scipy.spatial.distance import pdist
 
-from .domain import Box
+from .domain import Box, as_points
 from .errors import DataError, DimensionError, NumericsError
 from .kernels import Kernel
 
@@ -177,7 +176,7 @@ class FittedGP:
         k = self.kernel.cross(self.training.X, x[None, :]).ravel()
         kxx = self.kernel(x, x)
         mean = self.mu_hat + float(k @ self.alpha)
-        Kinv_k = cho_solve((self.L, True), k)
+        Kinv_k, _ = dpotrs(self.L, k, lower=1)
         resid = 1.0 - float(k @ self.Kinv_one)
         var = kxx - float(k @ Kinv_k) + resid * resid / self.one_Kinv_one
         if var < 0.0:
@@ -188,14 +187,7 @@ class FittedGP:
 
     def predict_batch(self, X) -> tuple[np.ndarray, np.ndarray]:
         """predict() applied row by row; identical numbers, vector shape."""
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            X = X[:, None] if self.training.d == 1 else X[None, :]
-        if X.ndim != 2 or X.shape[1] != self.training.d:
-            raise DimensionError(
-                f"expected points of dimension {self.training.d}, "
-                f"got shape {X.shape}")
-        out = [self.predict(x) for x in X]
+        out = [self.predict(x) for x in as_points(X, self.training.d)]
         means = np.array([m for m, _ in out])
         variances = np.array([v for _, v in out])
         return means, variances

@@ -15,6 +15,7 @@ from typing import Callable
 
 import numpy as np
 
+from ..domain import as_points
 from ..errors import DimensionError, ParameterError
 from .params import Node
 
@@ -53,21 +54,9 @@ class Kernel(Node, ABC):
 
     # -- evaluation ---------------------------------------------------------
 
-    def _check(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=float)
-        if X.ndim == 1:
-            # for 1-D kernels a flat array is a column of points,
-            # otherwise it is a single point
-            X = X[:, None] if self._dim == 1 else X[None, :]
-        if X.ndim != 2 or X.shape[1] != self._dim:
-            raise DimensionError(
-                f"expected points of dimension {self._dim}, got shape {X.shape}"
-            )
-        return X
-
     def cross(self, X1, X2) -> np.ndarray:
         """The (n1, n2) matrix k(x1_i, x2_j)."""
-        return self._cross(self._check(X1), self._check(X2))
+        return self._cross(as_points(X1, self._dim), as_points(X2, self._dim))
 
     def __call__(self, x, xp) -> float:
         x = np.atleast_1d(np.asarray(x, dtype=float))
@@ -82,7 +71,7 @@ class Kernel(Node, ABC):
     def gram(self, X) -> np.ndarray:
         """Symmetric Gram matrix; the upper triangle is mirrored so
         K[i, j] == K[j, i] holds exactly."""
-        X = self._check(X)
+        X = as_points(X, self._dim)
         K = np.ascontiguousarray(self._cross(X, X), dtype=float)
         lower, upper = _mirror_index(K.shape[0])
         flat = K.reshape(-1)

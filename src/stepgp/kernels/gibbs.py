@@ -14,12 +14,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy import special
 
 from ..errors import DimensionError, ParameterError
 from .base import Kernel
-from .params import HyperParam, Node, offset_above, positive, search_box
-from .params import variance_box
+from .params import SIGMOIDS, AxisNode, HyperParam, Node, offset_above
+from .params import positive, search_box, steepness_box, variance_box
 
 
 class LengthScaleFn(Node, ABC):
@@ -38,7 +37,7 @@ class LengthScaleFn(Node, ABC):
         limit."""
         *c1, c2 = self._params
         lim = self.c2_limit
-        return (*(search_box(p, 1e-2, 1e3) for p in c1),
+        return (*(steepness_box(p) for p in c1),
                 search_box(c2, lim + 1e-2, lim + 100.0, shift=lim))
 
 
@@ -55,15 +54,15 @@ class ConstantLS(LengthScaleFn):
         return np.full(X.shape[0], self._params[0].value)
 
 
-class _AxisLS(LengthScaleFn):
-    """Lengthscale functions of a single coordinate x[axis]."""
+class _AxisLS(AxisNode, LengthScaleFn):
+    """Lengthscale functions of a single coordinate x[axis]; unless a
+    subclass overrides :meth:`values`, l(x) = g(c1 * x[axis]) + c2 for the
+    sigmoid g of ``SIGMOIDS[kind]``, with c2 > -inf g so that l > 0."""
 
-    fields = ("axis",)
+    noun = "lengthscale"
 
     def __init__(self, c1=1.0, c2=None, axis=0):
-        self.axis = int(axis)
-        if self.axis < 0:
-            raise DimensionError("axis must be >= 0")
+        super().__init__(axis)
         if c2 is None:
             c2 = self.c2_limit + 1.0
         self._params = (self._default_c1("c1", float(c1)),
@@ -74,6 +73,11 @@ class _AxisLS(LengthScaleFn):
         return HyperParam(name, v, -1e6, 1e6)
 
     @property
+    def c2_limit(self) -> float:
+        # 0.0 - inf g, not -inf g: Logistic's limit is +0.0, not -0.0
+        return 0.0 - SIGMOIDS[self.kind][1]
+
+    @property
     def c1(self) -> float:
         return self._params[0].value
 
@@ -81,12 +85,8 @@ class _AxisLS(LengthScaleFn):
     def c2(self) -> float:
         return self._params[1].value
 
-    def _coord(self, X):
-        if X.shape[1] <= self.axis:
-            raise DimensionError(
-                f"lengthscale reads axis {self.axis} but points have "
-                f"dimension {X.shape[1]}")
-        return X[:, self.axis]
+    def values(self, X):
+        return SIGMOIDS[self.kind][0](self.c1 * self._coord(X)) + self.c2
 
 
 @LengthScaleFn.register
@@ -115,10 +115,6 @@ class ErfLS(_AxisLS):
     """l(x) = erf(c1 * x[axis]) + c2 with c2 > 1."""
 
     kind = "Erf"
-    c2_limit = 1.0
-
-    def values(self, X):
-        return special.erf(self.c1 * self._coord(X)) + self.c2
 
 
 @LengthScaleFn.register
@@ -126,10 +122,6 @@ class LogisticLS(_AxisLS):
     """l(x) = 1 / (1 + exp(c1 * x[axis])) + c2 with c2 > 0."""
 
     kind = "Logistic"
-    c2_limit = 0.0
-
-    def values(self, X):
-        return special.expit(-self.c1 * self._coord(X)) + self.c2
 
 
 @LengthScaleFn.register
@@ -137,10 +129,6 @@ class TanhLS(_AxisLS):
     """l(x) = tanh(c1 * x[axis]) + c2 with c2 > 1."""
 
     kind = "Tanh"
-    c2_limit = 1.0
-
-    def values(self, X):
-        return np.tanh(self.c1 * self._coord(X)) + self.c2
 
 
 @LengthScaleFn.register
@@ -148,10 +136,6 @@ class ArctanLS(_AxisLS):
     """l(x) = arctan(c1 * x[axis]) + c2 with c2 > pi/2."""
 
     kind = "Arctan"
-    c2_limit = np.pi / 2
-
-    def values(self, X):
-        return np.arctan(self.c1 * self._coord(X)) + self.c2
 
 
 @Kernel.register

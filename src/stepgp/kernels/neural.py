@@ -21,7 +21,8 @@ import numpy as np
 
 from ..errors import DimensionError
 from .base import Kernel
-from .params import HyperParam, positive, search_box, variance_box
+from .params import HyperParam, positive, search_box, steepness_box
+from .params import variance_box
 
 # keep the arcsin argument strictly inside (-1, 1)
 _ARCSIN_EPS = 1e-15
@@ -68,7 +69,7 @@ class NeuralNet(Kernel):
         """Weight scales in [0.01, 1000]."""
         s2, *sig = self._params[:self.dim + 2]
         return (variance_box(s2, yvar),
-                *(search_box(p, 1e-2, 1e3) for p in sig))
+                *(steepness_box(p) for p in sig))
 
     def _center(self, X: np.ndarray) -> np.ndarray:
         return X

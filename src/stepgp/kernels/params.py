@@ -6,7 +6,10 @@ import math
 from dataclasses import dataclass, replace
 from typing import Iterator, Sequence
 
-from ..errors import ParameterError
+import numpy as np
+from scipy import special
+
+from ..errors import DimensionError, ParameterError
 
 
 @dataclass(frozen=True)
@@ -69,20 +72,16 @@ class HyperParam:
         return min(max(v, self.lower), self.upper)
 
 
-def positive(name: str, value: float, lower: float = 1e-12,
-             upper: float = 1e12) -> HyperParam:
-    """A strictly positive parameter searched in log space."""
-    return HyperParam(name, value, lower, upper, scale="log")
+def positive(name: str, value: float) -> HyperParam:
+    """A positive parameter in [1e-12, 1e12], searched in log space."""
+    return HyperParam(name, value, 1e-12, 1e12, scale="log")
 
 
-def offset_above(name: str, value: float, limit: float,
-                 upper: float | None = None,
-                 margin: float = 1e-2) -> HyperParam:
-    """A parameter constrained to exceed ``limit``, searched as ln(v - limit)."""
-    if upper is None:
-        upper = limit + 1e6
-    return HyperParam(name, value, lower=limit + margin, upper=upper,
-                      scale="log", shift=limit)
+def offset_above(name: str, value: float, limit: float) -> HyperParam:
+    """A parameter in [limit + 1e-2, limit + 1e6], searched as
+    ln(v - limit)."""
+    return HyperParam(name, value, limit + 1e-2, limit + 1e6, scale="log",
+                      shift=limit)
 
 
 def search_box(p: HyperParam, lower: float, upper: float,
@@ -95,6 +94,23 @@ def search_box(p: HyperParam, lower: float, upper: float,
 def variance_box(p: HyperParam, yvar: float) -> HyperParam:
     """Output variance searched in [1e-6, 1e3] times the data variance."""
     return search_box(p, 1e-6 * yvar, 1e3 * yvar)
+
+
+def steepness_box(p: HyperParam) -> HyperParam:
+    """A sigmoid steepness or network weight scale searched in
+    [0.01, 1000]."""
+    return search_box(p, 1e-2, 1e3)
+
+
+#: The sigmoids g behind the Gibbs lengthscales g(c1 x) + c2 and the warps
+#: g(c1 x), by kind: (g, inf g, sup g).  Logistic is the falling
+#: 1 / (1 + exp(t)).
+SIGMOIDS = {
+    "Erf": (special.erf, -1.0, 1.0),
+    "Logistic": (lambda t: special.expit(-t), 0.0, 1.0),
+    "Tanh": (np.tanh, -1.0, 1.0),
+    "Arctan": (np.arctan, -np.pi / 2, np.pi / 2),
+}
 
 
 class Node:
@@ -210,3 +226,23 @@ class Node:
     def child_boxes(self, box) -> tuple:
         """The domain each child sees, in slot order."""
         return (box,) * len(self.slots)
+
+
+class AxisNode(Node):
+    """A node that reads one input coordinate, x[axis]."""
+
+    fields = ("axis",)
+    #: what the node is called in the dimension error of :meth:`_coord`
+    noun = "node"
+
+    def __init__(self, axis: int):
+        self.axis = int(axis)
+        if self.axis < 0:
+            raise DimensionError("axis must be >= 0")
+
+    def _coord(self, X: np.ndarray) -> np.ndarray:
+        if X.shape[1] <= self.axis:
+            raise DimensionError(
+                f"{self.noun} reads axis {self.axis} but points have "
+                f"dimension {X.shape[1]}")
+        return X[:, self.axis]

@@ -12,12 +12,11 @@ from __future__ import annotations
 from abc import ABC, abstractmethod
 
 import numpy as np
-from scipy import special
 
 from ..domain import Box
 from ..errors import DimensionError, ParameterError
 from .base import Kernel
-from .params import Node, positive, search_box
+from .params import SIGMOIDS, AxisNode, Node, positive, steepness_box
 
 
 class WarpMap(Node, ABC):
@@ -38,17 +37,14 @@ class WarpMap(Node, ABC):
         bounds for the kernel downstream of the warp."""
 
 
-class _SigmoidWarp(WarpMap):
-    """Replace x[axis] by g(c1 * x[axis]), all other axes untouched."""
+class _SigmoidWarp(AxisNode, WarpMap):
+    """Replace x[axis] by g(c1 * x[axis]) for the sigmoid g of
+    ``SIGMOIDS[kind]``, all other axes untouched."""
 
-    fields = ("axis",)
-    #: (lo, hi) range of g, used for output_box
-    g_range = (-1.0, 1.0)
+    noun = "warp"
 
     def __init__(self, c1=1.0, axis=0):
-        self.axis = int(axis)
-        if self.axis < 0:
-            raise DimensionError("axis must be >= 0")
+        super().__init__(axis)
         self._params = (positive("c1", float(c1)),)
 
     @property
@@ -57,25 +53,18 @@ class _SigmoidWarp(WarpMap):
 
     def default_bounds(self, box, yvar):
         """Steepness c1 in [0.01, 1000]."""
-        return (search_box(self._params[0], 1e-2, 1e3),)
-
-    @staticmethod
-    def _g(t: np.ndarray) -> np.ndarray:
-        raise NotImplementedError
+        return (steepness_box(self._params[0]),)
 
     def transform(self, X):
-        if X.shape[1] <= self.axis:
-            raise DimensionError(
-                f"warp reads axis {self.axis} but points have "
-                f"dimension {X.shape[1]}")
+        t = self.c1 * self._coord(X)
         out = np.array(X, dtype=float)
-        out[:, self.axis] = self._g(self.c1 * X[:, self.axis])
+        out[:, self.axis] = SIGMOIDS[self.kind][0](t)
         return out
 
     def output_box(self, box):
         lo = list(box.lower)
         hi = list(box.upper)
-        lo[self.axis], hi[self.axis] = self.g_range
+        _, lo[self.axis], hi[self.axis] = SIGMOIDS[self.kind]
         return Box(tuple(lo), tuple(hi))
 
 
@@ -84,11 +73,6 @@ class ErfWarp(_SigmoidWarp):
     """g(t) = erf(t), range (-1, 1)."""
 
     kind = "Erf"
-    g_range = (-1.0, 1.0)
-
-    @staticmethod
-    def _g(t):
-        return special.erf(t)
 
 
 @WarpMap.register
@@ -96,11 +80,6 @@ class LogisticWarp(_SigmoidWarp):
     """g(t) = 1 / (1 + exp(t)), range (0, 1)."""
 
     kind = "Logistic"
-    g_range = (0.0, 1.0)
-
-    @staticmethod
-    def _g(t):
-        return special.expit(-t)
 
 
 @WarpMap.register
@@ -108,11 +87,6 @@ class TanhWarp(_SigmoidWarp):
     """g(t) = tanh(t), range (-1, 1)."""
 
     kind = "Tanh"
-    g_range = (-1.0, 1.0)
-
-    @staticmethod
-    def _g(t):
-        return np.tanh(t)
 
 
 @WarpMap.register
@@ -120,11 +94,6 @@ class ArctanWarp(_SigmoidWarp):
     """g(t) = arctan(t), range (-pi/2, pi/2)."""
 
     kind = "Arctan"
-    g_range = (-np.pi / 2, np.pi / 2)
-
-    @staticmethod
-    def _g(t):
-        return np.arctan(t)
 
 
 @WarpMap.register

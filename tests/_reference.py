@@ -1,6 +1,7 @@
-"""The likelihood factorization as first written, on scipy's ``cholesky``
-and ``cho_solve``, kept as the reference that ``gp._factor_solve`` must
-match bit for bit; the kernels to compare them on; and two test kernels,
+"""The likelihood factorization and the single-point prediction as first
+written, on scipy's ``cholesky`` and ``cho_solve``, kept as the reference
+that ``gp._factor_solve`` and ``FittedGP.predict`` must match bit for bit;
+the kernels to compare them on; and two test kernels,
 one whose Gram needs the jitter ladder and one with a NaN in its Gram.
 """
 
@@ -70,6 +71,16 @@ def log_likelihood(kernel, ts):
     return float(-0.5 * n * np.log(2.0 * np.pi)
                  - np.sum(np.log(np.diag(L)))
                  - 0.5 * (r @ alpha))
+
+
+def predict(kernel, ts, x):
+    """Posterior mean and variance at the point ``x``, clamped at 0."""
+    L, alpha, Kinv_one, denom, mu, _ = fit_fields(kernel, ts)
+    k = kernel.cross(ts.X, x[None, :]).ravel()
+    resid = 1.0 - float(k @ Kinv_one)
+    var = (kernel(x, x) - float(k @ cho_solve((L, True), k))
+           + resid * resid / denom)
+    return mu + float(k @ alpha), (0.0 if var < 0.0 else var)
 
 
 def package_fit_fields(gp):

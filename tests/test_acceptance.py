@@ -115,7 +115,7 @@ def test_criterion_05_varying_lengthscale_beats_matern(capsys):
     ]
     results = sg.run_experiment([sg.nonstationary_function()], methods,
                                 replicates=20, n_train=15, n_t=1000,
-                                master_seed=0, n_restarts=10)
+                                master_seed=0, n_restarts=10, jobs=2)
     med = {s.method: s.median for s in summarize(results)}
     ok = med["GibbsQuad"] < med["Mat32"]
     _verdict(capsys, 5,
@@ -136,7 +136,7 @@ def test_criterion_06_step_benchmark_ordering(capsys):
     methods = [m for m in default_methods() if m.label in keep]
     results = sg.run_experiment([sg.step_function(2)], methods,
                                 replicates=20, n_train=20, n_t=1000,
-                                master_seed=0, n_restarts=10)
+                                master_seed=0, n_restarts=10, jobs=2)
     ok, med = _ordering_holds(results)
     _verdict(capsys, 6,
              "discontinuity methods beat stationary baselines "

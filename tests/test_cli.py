@@ -239,6 +239,19 @@ def test_benchmark_flag_overrides(tmp_path):
     assert seeds == [6, 1006, 2006]
 
 
+@pytest.mark.parametrize("flag, value, message", [
+    ("--replicates", "0", "replicates must be >= 1"),
+    ("--jobs", "-1", "jobs must be >= 0"),
+])
+def test_benchmark_bad_flag_exits_2_and_writes_nothing(tmp_path, capsys,
+                                                       flag, value, message):
+    out_dir = tmp_path / "out"
+    cfg = _smoke_config(tmp_path, out_dir)
+    assert cli.main(["benchmark", "--config", str(cfg), flag, value]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+    assert not out_dir.exists()
+
+
 def _meta_lines(path):
     return [l for l in path.read_text().splitlines() if l.startswith("#")]
 

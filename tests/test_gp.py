@@ -263,7 +263,7 @@ def test_predict_dimension_mismatch():
         gp.predict(np.zeros(ts.X.shape[1] + 1))
 
 
-# -- the factorization against the scipy cholesky/cho_solve reference -------
+# -- factorization and predict against the scipy cho_solve reference -------
 
 
 def _outcome(compute):
@@ -286,6 +286,9 @@ def test_factorization_bitwise_equals_scipy_reference(kind):
             continue
         ref.assert_fields_equal(got, want)
         assert mu == want[4]
+        gp = sg.fit(k, ts)
+        for x in 0.5 * (ts.X[:3] + ts.X[3:6]):
+            assert gp.predict(x) == ref.predict(k, ts, x)
         fitted += 1
     assert fitted > 0
 
